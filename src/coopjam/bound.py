@@ -75,13 +75,13 @@ class NoiseCorrelation:
 class SatoEvaluation:
     """Full breakdown of the bound at a budget.
 
-    final_bound = min(r_u, g(p1_max)) clipped at zero, where r_u is the
-    genie term f evaluated at full budgets and the minimizing rho.
+    final_bound = min(f_at_star, g(p1_max)) clipped at zero, where
+    f_at_star is the genie term f evaluated at full budgets and the
+    minimizing rho.
     """
 
     rho_star: NoiseCorrelation
     f_at_star: float
-    r_u: float
     final_bound: RateValue
     discriminant: float
 
@@ -135,6 +135,13 @@ def _star_parts(
     return s, m, d_lo, d_hi, max(delta, 0.0)
 
 
+def _unclamped_rho(s: float, m: float, delta: float) -> float:
+    """The minimizer 2s / (m + sqrt(delta)) before clamping; 0 when s vanishes."""
+    if s <= _DEGENERATE_S:
+        return 0.0
+    return 2.0 * s / (m + math.sqrt(delta))
+
+
 def rho_star(gains: ChannelGains, alloc: PowerAllocation) -> NoiseCorrelation:
     """Closed-form minimizer of f over rho for fixed powers.
 
@@ -146,10 +153,7 @@ def rho_star(gains: ChannelGains, alloc: PowerAllocation) -> NoiseCorrelation:
     directly.
     """
     s, m, _, _, delta = _star_parts(gains.a, gains.b, alloc.p1, alloc.p2)
-    if s <= _DEGENERATE_S:
-        return NoiseCorrelation(0.0)
-    raw = 2.0 * s / (m + math.sqrt(delta))
-    return NoiseCorrelation(min(raw, _RHO_CLAMP))
+    return NoiseCorrelation(min(_unclamped_rho(s, m, delta), _RHO_CLAMP))
 
 
 def rho_min_oracle(
@@ -232,18 +236,11 @@ def sato_upper_bound(gains: ChannelGains, budget: PowerBudget) -> SatoEvaluation
     p1, p2 = budget.p1_max, budget.p2_max
     full = PowerAllocation(p1, p2)
     s, m, d_lo, d_hi, delta = _star_parts(a, b, p1, p2)
-
-    if s <= _DEGENERATE_S:
-        rho_val = 0.0
-        f_at = sato_f(gains, full, 0.0)
+    raw = _unclamped_rho(s, m, delta)
+    if raw >= 1.0 - _RHO_EDGE:
+        f_at = _f_at_star_cancelled(a, b, p1, p2, s, m, d_lo, d_hi, raw)
     else:
-        raw = 2.0 * s / (m + math.sqrt(delta))
-        if raw >= 1.0 - _RHO_EDGE:
-            f_at = _f_at_star_cancelled(a, b, p1, p2, s, m, d_lo, d_hi, raw)
-        else:
-            f_at = sato_f(gains, full, raw)
-        rho_val = min(raw, _RHO_CLAMP)
-
-    r_u = f_at
-    final = pos_part(min(r_u, gauss_cap(p1)))
-    return SatoEvaluation(NoiseCorrelation(rho_val), f_at, r_u, RateValue(final), delta)
+        f_at = sato_f(gains, full, raw)
+    final = pos_part(min(f_at, gauss_cap(p1)))
+    rho = NoiseCorrelation(min(raw, _RHO_CLAMP))
+    return SatoEvaluation(rho, f_at, RateValue(final), delta)

@@ -10,8 +10,12 @@ Commands:
             symmetric, b-versus, and a-versus parameterizations
     verify  run the seeded invariant suite; nonzero exit on any violation
 
-Every command accepts `--config FILE` with one `key = value` per line
-mirroring its long options; explicit flags override file values.
+Every command accepts `--config FILE` with one `key = value` per line.
+Keys are the command's long option names without `--`; each entry is
+parsed as the flag `--key=value` placed before the explicit flags, so
+argparse casts and checks it, an unknown key is a usage error, and an
+explicit flag wins.  The switches `check-grid` and `symmetric` take
+true/false, yes/no, on/off or 1/0.
 Exit codes: 0 success, 1 verification/invariant failure, 2 usage or
 domain error.
 """
@@ -21,7 +25,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Any, Callable
 
 from .achievable import achievable_rate
 from .bound import sato_upper_bound
@@ -41,18 +44,31 @@ __all__ = ["main"]
 
 _FIG_BUDGET = (2.0, 2.0)
 _FIG_RANGE = (0.0, 4.0)
+# name: (help, curves); each curve is (output tag, swept gain, fixed gain, symmetric).
+_FIG_PRESETS = {
+    "fig2": ("symmetric a = b sweep, budgets (2, 2)", [("symmetric", "a", 0.0, True)]),
+    "fig3": (
+        "sweep b at fixed a in {0.6, 1.2}, budgets (2, 2)",
+        [("a0.6", "b", 0.6, False), ("a1.2", "b", 1.2, False)],
+    ),
+    "fig4": (
+        "sweep a at fixed b in {0.2, 1.2}, budgets (2, 2)",
+        [("b0.2", "a", 0.2, False), ("b1.2", "a", 1.2, False)],
+    ),
+}
+_BOOLEAN_KEYS = ("check-grid", "symmetric")
 _DEFAULT_STEPS = 400
 _DEFAULT_SAMPLES = 2000
 _DEFAULT_GRID_STEPS = 300
 
 
-def _parse_bool(text: str) -> bool:
+def _parse_bool(key: str, text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise DomainError(f"expected a boolean, got {text!r}")
+    raise DomainError(f"config value for {key!r}: expected a boolean, got {text!r}")
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -72,38 +88,10 @@ def _read_config(path: str) -> dict[str, str]:
     return cfg
 
 
-class _Options:
-    """Merged view of parsed flags and config-file values."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.cfg = _read_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(
-        self,
-        key: str,
-        cast: Callable[[str], Any],
-        default: Any = None,
-        required: bool = False,
-    ) -> Any:
-        value = getattr(self.args, key.replace("-", "_"), None)
-        if value is None and key in self.cfg:
-            try:
-                value = cast(self.cfg[key])
-            except ValueError as exc:
-                raise DomainError(f"config value for {key!r}: {exc}") from exc
-        if value is None:
-            if required:
-                raise DomainError(f"missing required option --{key}")
-            value = default
-        return value
-
-
-def _power_mode(text: str) -> PowerMode:
-    try:
-        return PowerMode(text)
-    except ValueError:
-        raise DomainError(f"power-mode must be 'optimal' or 'full', got {text!r}")
+def _require(args: argparse.Namespace, *dests: str) -> None:
+    for dest in dests:
+        if getattr(args, dest) is None:
+            raise DomainError(f"missing required option --{dest.rstrip('_')}")
 
 
 def _emit_csv(text: str, out: str | None) -> None:
@@ -115,13 +103,9 @@ def _emit_csv(text: str, out: str | None) -> None:
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    gains = ChannelGains(
-        opt.get("a", float, required=True), opt.get("b", float, required=True)
-    )
-    alloc = PowerAllocation(
-        opt.get("p1", float, required=True), opt.get("p2", float, required=True)
-    )
+    _require(args, "a", "b", "p1", "p2")
+    gains = ChannelGains(args.a, args.b)
+    alloc = PowerAllocation(args.p1, args.p2)
     rate, branch = achievable_rate(gains, alloc)
     print(f"a = {gains.a:.12g}  b = {gains.b:.12g}  p1 = {alloc.p1:.12g}  p2 = {alloc.p2:.12g}")
     print(f"secrecy_rate = {rate.value:.12g} bit/channel use")
@@ -130,175 +114,88 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    gains = ChannelGains(
-        opt.get("a", float, required=True), opt.get("b", float, required=True)
-    )
-    budget = PowerBudget(
-        opt.get("pbar1", float, required=True), opt.get("pbar2", float, required=True)
-    )
+    _require(args, "a", "b", "pbar1", "pbar2")
+    gains = ChannelGains(args.a, args.b)
+    budget = PowerBudget(args.pbar1, args.pbar2)
     result = optimal_allocation(gains, budget)
     print(f"p1 = {result.alloc.p1:.12g}  p2 = {result.alloc.p2:.12g}")
     print(f"secrecy_rate = {result.rate.value:.12g} bit/channel use")
     print(f"branch = {result.branch}")
     print(f"source = {result.source.value}")
-    if opt.get("check-grid", _parse_bool, default=False):
-        steps = opt.get("grid-steps", int, default=_DEFAULT_GRID_STEPS)
-        grid = grid_search_allocation(gains, budget, steps)
+    if args.check_grid:
+        grid = grid_search_allocation(gains, budget, args.grid_steps)
         diff = result.rate.value - grid.rate.value
         print(
             f"grid_rate = {grid.rate.value:.12g} at p1 = {grid.alloc.p1:.12g}, "
-            f"p2 = {grid.alloc.p2:.12g} (n_steps = {steps})"
+            f"p2 = {grid.alloc.p2:.12g} (n_steps = {args.grid_steps})"
         )
         print(f"closed_minus_grid = {diff:.3e}")
     return 0
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    gains = ChannelGains(
-        opt.get("a", float, required=True), opt.get("b", float, required=True)
-    )
-    budget = PowerBudget(
-        opt.get("pbar1", float, required=True), opt.get("pbar2", float, required=True)
-    )
+    _require(args, "a", "b", "pbar1", "pbar2")
+    gains = ChannelGains(args.a, args.b)
+    budget = PowerBudget(args.pbar1, args.pbar2)
     ev = sato_upper_bound(gains, budget)
     direct_cap = gauss_cap(budget.p1_max)
     print(f"rho_star = {ev.rho_star.rho:.12g}")
     print(f"discriminant = {ev.discriminant:.12g}")
-    print(f"r_u = {ev.r_u:.12g} bit/channel use")
+    print(f"r_u = {ev.f_at_star:.12g} bit/channel use")
     print(f"direct_link_cap = {direct_cap:.12g} bit/channel use")
     print(f"final_bound = {ev.final_bound.value:.12g} bit/channel use")
-    print(f"active_term = {'genie' if ev.r_u <= direct_cap else 'direct_link_cap'}")
+    print(f"active_term = {'genie' if ev.f_at_star <= direct_cap else 'direct_link_cap'}")
     return 0
-
-
-def _sweep_spec_from(opt: _Options) -> SweepSpec:
-    symmetric = opt.get("symmetric", _parse_bool, default=False)
-    param = opt.get("param", str, default="a")
-    if param not in ("a", "b"):
-        raise DomainError(f"param must be 'a' or 'b', got {param!r}")
-    fixed = opt.get("b" if param == "a" else "a", float)
-    if fixed is None:
-        if not symmetric:
-            raise DomainError(
-                f"provide --{'b' if param == 'a' else 'a'} for the fixed gain, "
-                "or --symmetric"
-            )
-        fixed = 0.0
-    return SweepSpec(
-        param=param,
-        start=opt.get("from", float, required=True),
-        end=opt.get("to", float, required=True),
-        steps=opt.get("steps", int, default=_DEFAULT_STEPS),
-        budget=PowerBudget(
-            opt.get("pbar1", float, required=True),
-            opt.get("pbar2", float, required=True),
-        ),
-        fixed_gain=fixed,
-        symmetric=symmetric,
-        power_mode=_power_mode(opt.get("power-mode", str, default="optimal")),
-    )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    rows = run_sweep(_sweep_spec_from(opt))
-    _emit_csv(render_csv(rows), opt.get("out", str))
+    other = "b" if args.param == "a" else "a"
+    fixed = getattr(args, other)
+    if fixed is None and not args.symmetric:
+        raise DomainError(f"provide --{other} for the fixed gain, or --symmetric")
+    _require(args, "from_", "to", "pbar1", "pbar2")
+    spec = SweepSpec(
+        param=args.param,
+        start=args.from_,
+        end=args.to,
+        steps=args.steps,
+        budget=PowerBudget(args.pbar1, args.pbar2),
+        fixed_gain=0.0 if fixed is None else fixed,
+        symmetric=args.symmetric,
+        power_mode=PowerMode(args.power_mode),
+    )
+    _emit_csv(render_csv(run_sweep(spec)), args.out)
     return 0
 
 
-def _fig_out_path(out: str | None, tag: str) -> str | None:
-    if out is None:
-        return None
-    path = Path(out)
-    return str(path.with_name(f"{path.stem}_{tag}{path.suffix or '.csv'}"))
-
-
-def _run_fig_curves(
-    args: argparse.Namespace, curves: list[tuple[str, SweepSpec]]
-) -> int:
-    opt = _Options(args)
-    out = opt.get("out", str)
-    multi = len(curves) > 1
-    for tag, spec in curves:
-        rows = run_sweep(spec)
-        target = _fig_out_path(out, tag) if multi else out
-        _emit_csv(render_csv(rows), target)
+def _cmd_fig(args: argparse.Namespace) -> int:
+    curves = _FIG_PRESETS[args.command][1]
+    for tag, param, fixed_gain, symmetric in curves:
+        spec = SweepSpec(
+            param=param,
+            start=_FIG_RANGE[0],
+            end=_FIG_RANGE[1],
+            steps=args.steps,
+            budget=PowerBudget(*_FIG_BUDGET),
+            fixed_gain=fixed_gain,
+            symmetric=symmetric,
+            power_mode=PowerMode(args.power_mode),
+        )
+        target = args.out
+        if target is not None and len(curves) > 1:
+            path = Path(target)
+            target = str(path.with_name(f"{path.stem}_{tag}{path.suffix or '.csv'}"))
+        _emit_csv(render_csv(run_sweep(spec)), target)
         if target is not None:
             print(f"wrote {target}", file=sys.stderr)
     return 0
 
 
-def _fig_common(opt: _Options) -> tuple[int, PowerMode, PowerBudget]:
-    steps = opt.get("steps", int, default=_DEFAULT_STEPS)
-    mode = _power_mode(opt.get("power-mode", str, default="optimal"))
-    return steps, mode, PowerBudget(*_FIG_BUDGET)
-
-
-def _cmd_fig2(args: argparse.Namespace) -> int:
-    steps, mode, budget = _fig_common(_Options(args))
-    spec = SweepSpec(
-        param="a",
-        start=_FIG_RANGE[0],
-        end=_FIG_RANGE[1],
-        steps=steps,
-        budget=budget,
-        symmetric=True,
-        power_mode=mode,
-    )
-    return _run_fig_curves(args, [("symmetric", spec)])
-
-
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    steps, mode, budget = _fig_common(_Options(args))
-    curves = [
-        (
-            f"a{fixed_a:g}",
-            SweepSpec(
-                param="b",
-                start=_FIG_RANGE[0],
-                end=_FIG_RANGE[1],
-                steps=steps,
-                budget=budget,
-                fixed_gain=fixed_a,
-                power_mode=mode,
-            ),
-        )
-        for fixed_a in (0.6, 1.2)
-    ]
-    return _run_fig_curves(args, curves)
-
-
-def _cmd_fig4(args: argparse.Namespace) -> int:
-    steps, mode, budget = _fig_common(_Options(args))
-    curves = [
-        (
-            f"b{fixed_b:g}",
-            SweepSpec(
-                param="a",
-                start=_FIG_RANGE[0],
-                end=_FIG_RANGE[1],
-                steps=steps,
-                budget=budget,
-                fixed_gain=fixed_b,
-                power_mode=mode,
-            ),
-        )
-        for fixed_b in (0.2, 1.2)
-    ]
-    return _run_fig_curves(args, curves)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    samples = opt.get("samples", int, default=_DEFAULT_SAMPLES)
-    seed = opt.get("seed", int, default=0)
-    grid_steps = opt.get("grid-steps", int, default=_DEFAULT_GRID_STEPS)
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
-    print(f"seed = {seed}")
-    results = run_all(samples, seed, grid_steps)
+    if args.samples < 1:
+        raise DomainError(f"samples must be >= 1, got {args.samples}")
+    print(f"seed = {args.seed}")
+    results = run_all(args.samples, args.seed, args.grid_steps)
     failed = False
     for res in results:
         status = "PASS" if res.ok else "FAIL"
@@ -326,6 +223,10 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pbar2", type=float, help="interferer power budget")
 
 
+def _add_power_mode(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--power-mode", choices=("optimal", "full"), default="optimal")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coopjam",
@@ -348,12 +249,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(p_power)
     p_power.add_argument(
         "--check-grid",
-        action="store_const",
-        const=True,
-        dest="check_grid",
+        action="store_true",
         help="also run the lattice oracle and report agreement",
     )
-    p_power.add_argument("--grid-steps", type=int, dest="grid_steps")
+    p_power.add_argument("--grid-steps", type=int, default=_DEFAULT_GRID_STEPS)
     _add_config(p_power)
     p_power.set_defaults(handler=_cmd_power)
 
@@ -364,55 +263,63 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.set_defaults(handler=_cmd_bound)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep along one gain")
-    p_sweep.add_argument("--param", choices=("a", "b"), help="which gain to sweep")
+    p_sweep.add_argument(
+        "--param", choices=("a", "b"), default="a", help="which gain to sweep"
+    )
     p_sweep.add_argument("--from", type=float, dest="from_", help="sweep start")
     p_sweep.add_argument("--to", type=float, help="sweep end")
-    p_sweep.add_argument("--steps", type=int, help="number of intervals")
+    p_sweep.add_argument(
+        "--steps", type=int, default=_DEFAULT_STEPS, help="number of intervals"
+    )
     _add_gain_flags(p_sweep)
     _add_budget_flags(p_sweep)
     p_sweep.add_argument(
-        "--symmetric",
-        action="store_const",
-        const=True,
-        help="force a = b along the sweep",
+        "--symmetric", action="store_true", help="force a = b along the sweep"
     )
-    p_sweep.add_argument(
-        "--power-mode", choices=("optimal", "full"), dest="power_mode"
-    )
+    _add_power_mode(p_sweep)
     p_sweep.add_argument("--out", help="output CSV path (default: stdout)")
     _add_config(p_sweep)
     p_sweep.set_defaults(handler=_cmd_sweep)
 
-    for name, handler, blurb in (
-        ("fig2", _cmd_fig2, "symmetric a = b sweep, budgets (2, 2)"),
-        ("fig3", _cmd_fig3, "sweep b at fixed a in {0.6, 1.2}, budgets (2, 2)"),
-        ("fig4", _cmd_fig4, "sweep a at fixed b in {0.2, 1.2}, budgets (2, 2)"),
-    ):
+    for name, (blurb, _) in _FIG_PRESETS.items():
         p_fig = sub.add_parser(name, help=blurb)
-        p_fig.add_argument("--steps", type=int)
-        p_fig.add_argument(
-            "--power-mode", choices=("optimal", "full"), dest="power_mode"
-        )
+        p_fig.add_argument("--steps", type=int, default=_DEFAULT_STEPS)
+        _add_power_mode(p_fig)
         p_fig.add_argument("--out", help="output path; curves get a suffix per tag")
         _add_config(p_fig)
-        p_fig.set_defaults(handler=handler)
+        p_fig.set_defaults(handler=_cmd_fig)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
-    p_verify.add_argument("--samples", type=int)
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--grid-steps", type=int, dest="grid_steps")
+    p_verify.add_argument("--samples", type=int, default=_DEFAULT_SAMPLES)
+    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--grid-steps", type=int, default=_DEFAULT_GRID_STEPS)
     _add_config(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
     return parser
 
 
+def _config_flags(path: str) -> list[str]:
+    """The entries of a config file as flags; booleans become a bare flag or nothing."""
+    flags = []
+    for key, value in _read_config(path).items():
+        if key not in _BOOLEAN_KEYS:
+            flags.append(f"--{key}={value}")
+        elif _parse_bool(key, value):
+            flags.append(f"--{key}")
+    return flags
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    # argparse stores --from as from_; expose it under the config key name.
-    if hasattr(args, "from_"):
-        setattr(args, "from", args.from_)
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # Config entries go before the explicit flags, so the explicit
+            # flags, parsed last, win.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
         return args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -151,14 +151,14 @@ class TestSatoUpperBound:
 
     def test_degraded_symmetric_point_is_exactly_zero(self):
         ev = sato_upper_bound(ChannelGains(1.0, 1.0), PowerBudget(2.0, 2.0))
-        assert ev.r_u == 0.0
+        assert ev.f_at_star == 0.0
         assert ev.final_bound.value == 0.0
         assert ev.discriminant == 0.0
         assert ev.rho_star.rho > 1.0 - 1e-9
 
     def test_direct_link_cap_applies(self):
         ev = sato_upper_bound(ChannelGains(3.0, 3.0), PowerBudget(2.0, 2.0))
-        assert ev.r_u > gauss_cap(2.0)
+        assert ev.f_at_star > gauss_cap(2.0)
         assert ev.final_bound.value == pytest.approx(gauss_cap(2.0), abs=1e-15)
 
     def test_weak_interference_gap_is_small(self):
@@ -182,7 +182,7 @@ class TestSatoUpperBound:
                 PowerAllocation(budget.p1_max, budget.p2_max),
                 rho_min_oracle(gains, PowerAllocation(budget.p1_max, budget.p2_max)),
             )
-            assert ev.r_u <= numeric + 1e-10
+            assert ev.f_at_star <= numeric + 1e-10
 
     def test_cancelled_form_matches_raw_when_well_conditioned(self):
         rng = np.random.default_rng(61)
@@ -207,8 +207,8 @@ class TestSatoUpperBound:
             ev = sato_upper_bound(gains, budget)
             full = PowerAllocation(2.0, 2.0)
             numeric = sato_f(gains, full, rho_min_oracle(gains, full))
-            assert ev.r_u == pytest.approx(numeric, abs=1e-7)
-            assert ev.r_u <= numeric + 1e-10
+            assert ev.f_at_star == pytest.approx(numeric, abs=1e-7)
+            assert ev.f_at_star <= numeric + 1e-10
 
     def test_discriminant_nonnegative_on_samples(self):
         rng = np.random.default_rng(67)

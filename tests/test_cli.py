@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import pytest
 
 from coopjam.cli import main
@@ -163,3 +166,92 @@ def test_verify_reports_violations_and_exits_one(capsys, monkeypatch):
     assert "PASS soundness" in captured.out
     assert "FAIL power-oracle" in captured.out
     assert "rate 0.5 > bound 0.4" in captured.err
+
+
+PRESET_STDOUT_SHA256 = {
+    "fig2": "d656414c8ed4e10a3c07a11fc60d305cd7fc651a5348aad7693079c736b8252b",
+    "fig3": "26efc97abe44b99ba4efc7cef2836973c654af856d0f8fc38d48283dfaf21dab",
+    "fig4": "c9a09d2b75942763968f63ce8bc5307bdd5cc954cb49c04ff23ed8bd39a563a0",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_STDOUT_SHA256))
+def test_preset_default_stdout_is_golden(preset, capsys):
+    assert main([preset]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PRESET_STDOUT_SHA256[preset]
+
+
+_POWER_POINT = "a = 2\nb = 1.5\npbar1 = 2\npbar2 = 2\ngrid-steps = 80\n"
+
+
+def _data_rows(out):
+    return [line.split(",") for line in out.splitlines() if not line.startswith("x,")]
+
+
+@pytest.mark.parametrize(
+    "command, text, check",
+    [
+        ("power", _POWER_POINT + "check-grid = false\n", lambda out: "grid_rate" not in out),
+        ("power", _POWER_POINT + "check-grid = 0\n", lambda out: "grid_rate" not in out),
+        ("power", _POWER_POINT + "check-grid = true\n", lambda out: "n_steps = 80" in out),
+        ("power", _POWER_POINT + "check-grid = on\n", lambda out: "n_steps = 80" in out),
+        (
+            "fig3",
+            "steps = 8\npower-mode = full\n",
+            lambda out: len(_data_rows(out)) == 18
+            and all(row[3:5] == ["2", "2"] for row in _data_rows(out)),
+        ),
+        (
+            "sweep",
+            "param = b\na = 0.6\nfrom = 1\nto = 3\nsteps = 4\npbar1 = 2\npbar2 = 2\n",
+            lambda out: [row[0] for row in _data_rows(out)] == ["1", "1.5", "2", "2.5", "3"],
+        ),
+        (
+            "sweep",
+            "symmetric = yes\nfrom = 0\nto = 4\nsteps = 2\npbar1 = 2\npbar2 = 2\n"
+            "power-mode = full\n",
+            lambda out: [row[0] for row in _data_rows(out)] == ["0", "2", "4"]
+            and all(row[3:5] == ["2", "2"] for row in _data_rows(out)),
+        ),
+        (
+            "verify",
+            "samples = 40\nseed = 7\ngrid-steps = 60\n",
+            lambda out: "seed = 7" in out and "PASS soundness (samples=40)" in out,
+        ),
+    ],
+    ids=[
+        "check-grid-false", "check-grid-0", "check-grid-true", "check-grid-on",
+        "fig3", "sweep", "sweep-symmetric", "verify",
+    ],
+)
+def test_config_file_supplies_every_option_kind(tmp_path, capsys, command, text, check):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg)]) == 0
+    assert check(capsys.readouterr().out)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "command, text, named",
+    [
+        ("rate", "a = x\nb = 0.5\np1 = 2\np2 = 2\n", "a"),
+        ("rate", "a = 4\nb = 0.5\np1 = 2\np2 = 2\nbogus = 3\n", "bogus"),
+        ("power", _POWER_POINT + "grid_steps = 80\n", "grid_steps"),
+        ("power", _POWER_POINT + "check-grid = maybe\n", "check-grid"),
+    ],
+    ids=["bad-float", "unknown-key", "misspelt-key", "bad-bool"],
+)
+def test_config_file_bad_entry_exits_2(tmp_path, capsys, command, text, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert _exit_code([command, "--config", str(cfg)]) == 2
+    last_line = capsys.readouterr().err.strip().splitlines()[-1]
+    assert re.search(rf"\b{named}\b", last_line)
