@@ -131,7 +131,10 @@ def _star_parts(
     d_lo = (ra - 1.0) ** 2 * p1 + (rb - 1.0) ** 2 * p2 + cross
     d_hi = (ra + 1.0) ** 2 * p1 + (rb + 1.0) ** 2 * p2 + cross
     delta = d_lo * d_hi
-    assert delta >= -1e-12, f"negative discriminant {delta}"
+    if not delta >= -1e-12:
+        raise InvariantViolation(
+            f"negative discriminant {delta} at a={a}, b={b}, p1={p1}, p2={p2}"
+        )
     return s, m, d_lo, d_hi, max(delta, 0.0)
 
 

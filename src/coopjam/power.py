@@ -10,9 +10,10 @@ one for a < 1.  Two critical powers appear in them:
   eavesdropper.
 
 `grid_search_allocation` is an independently-maximizing lattice oracle
-used to validate the closed form; it never consults the case analysis,
-only the rate function itself (plus the critical points as extra lattice
-candidates so agreement is not limited by lattice resolution).
+used to validate the closed form.  It evaluates the same rate terms and
+interval tests as `achievable_rate` and never consults the allocation
+case analysis (it only adds the critical points as extra lattice
+candidates, so agreement is not limited by lattice resolution).
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from enum import Enum
 
 import numpy as np
 
-from .achievable import BranchLabel, achievable_rate
+from .achievable import BranchLabel, _conditions, _terms, achievable_rate
 from .model import (
     ChannelGains,
     DomainError,
+    InvariantViolation,
     PowerAllocation,
     PowerBudget,
     RateValue,
@@ -48,6 +50,10 @@ __all__ = [
 # The p2_star formula divides by 1 - a*b; closer to the degraded line
 # than this it is ill-conditioned and the grid oracle takes over.
 _DEGRADED_TOL = 1e-9
+# critical_powers refuses p2_star this close to a*b = 1, where 1 - a*b may
+# round to zero, and the grid asks for it only outside; _DEGRADED_TOL is
+# wider because it is about the closed form's accuracy, not definedness.
+_DEGRADED_EXACT_TOL = 1e-12
 
 
 class AllocationSource(Enum):
@@ -83,7 +89,7 @@ class CriticalPowers:
 def critical_powers(gains: ChannelGains, budget: PowerBudget) -> CriticalPowers:
     """Evaluate both critical powers; requires a*b < 1 for p2_star."""
     a, b = gains.a, gains.b
-    if a * b >= 1.0 - 1e-12:
+    if a * b >= 1.0 - _DEGRADED_EXACT_TOL:
         raise DomainError(f"p2_star is defined only for a*b < 1, got a*b = {a * b}")
     p1_star = b - 1.0
     if b == 0.0:
@@ -120,7 +126,8 @@ def optimal_allocation(
             if 1.0 - ab < _DEGRADED_TOL:
                 return grid_search_allocation(gains, budget, fallback_grid_steps)
             p2_star = critical_powers(gains, budget).p2_star
-            assert p2_star >= 0.0
+            if not p2_star >= 0.0:
+                raise InvariantViolation(f"p2_star {p2_star} < 0 at {gains}, {budget}")
             alloc = PowerAllocation(pb1, min(pb2, p2_star))
         else:
             alloc = PowerAllocation(0.0, 0.0)
@@ -137,48 +144,30 @@ def optimal_allocation(
             if 1.0 - ab < _DEGRADED_TOL:
                 return grid_search_allocation(gains, budget, fallback_grid_steps)
             p2_star = critical_powers(gains, budget).p2_star
-            assert p2_star >= 0.0
+            if not p2_star >= 0.0:
+                raise InvariantViolation(f"p2_star {p2_star} < 0 at {gains}, {budget}")
             alloc = PowerAllocation(pb1, min(pb2, p2_star))
         else:
             alloc = PowerAllocation(pb1, 0.0)
 
-    assert alloc.within(budget), f"allocation {alloc} exceeds budget {budget}"
+    if not alloc.within(budget):
+        raise InvariantViolation(f"allocation {alloc} exceeds budget {budget}")
     rate, branch = achievable_rate(gains, alloc)
     return AllocationResult(alloc, rate, AllocationSource.CLOSED_FORM, branch)
-
-
-def _g(x: np.ndarray) -> np.ndarray:
-    return 0.5 * np.log2(1.0 + x)
 
 
 def _rate_grid(a: float, b: float, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Achievable rate on the outer product of two power vectors.
 
-    Mirrors `achievable_rate` branch by branch; kept vectorized so the
-    lattice oracle stays fast.  Returns a (len(p1), len(p2)) array.
+    Evaluates the terms and tests of `achievable_rate` on whole arrays so
+    the lattice oracle stays fast.  Returns a (len(p1), len(p2)) array.
     """
     P1 = np.asarray(p1, dtype=float)[:, None]
     P2 = np.asarray(p2, dtype=float)[None, :]
-    eave_snr = _g(a * P1 / (1.0 + P2))
-    v_decode = _g(P1) - eave_snr
-    v_joint = _g(P1 + b * P2) - _g(a * P1 + P2)
-    v_noise = _g(P1 / (1.0 + b * P2)) - eave_snr
-
-    if a < 1.0:
-        beta1 = (1.0 + P1) / (1.0 + a * P1)
-        beta2 = a * (1.0 + P1) / (1.0 + a * P1 + (1.0 - a) * P2)
-        v_mid = _g(P1) - _g(a * P1)
-        rate = np.where(
-            b >= 1.0 + P1,
-            v_decode,
-            np.where(b >= beta1, v_joint, np.where(b >= beta2, v_mid, v_noise)),
-        )
-    else:
-        if b >= 1.0:
-            inner = np.where(b >= 1.0 + P1, v_decode, np.maximum(v_joint, 0.0))
-        else:
-            inner = np.maximum(v_noise, 0.0)
-        rate = np.where(a >= 1.0 + P2, 0.0, inner)
+    zero, decode, joint, mid = _conditions(a, b, P1, P2)
+    v_decode, v_joint, v_mid, v_noise = _terms(a, b, P1, P2, np.log2)
+    inner = np.where(joint, v_joint, np.where(mid, v_mid, v_noise))
+    rate = np.where(zero, 0.0, np.where(decode, v_decode, inner))
     return np.maximum(rate, 0.0)
 
 
@@ -201,7 +190,7 @@ def grid_search_allocation(
     cand2 = np.linspace(0.0, pb2, n_steps + 1)
     if b - 1.0 >= 0.0:
         cand1 = np.append(cand1, min(b - 1.0, pb1))
-    if a * b < 1.0 - 1e-12:
+    if a * b < 1.0 - _DEGRADED_EXACT_TOL:
         p2_star = critical_powers(gains, budget).p2_star
         if math.isfinite(p2_star) and p2_star >= 0.0:
             cand2 = np.append(cand2, min(p2_star, pb2))

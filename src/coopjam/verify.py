@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .achievable import achievable_rate, wiretap_capacity
+from .achievable import Thresholds, achievable_rate, wiretap_capacity
 from .bound import rho_min_oracle, rho_star, sato_f, sato_upper_bound
 from .model import ChannelGains, PowerAllocation, PowerBudget
 from .power import asymptotic_rate, grid_search_allocation, optimal_allocation
@@ -183,16 +183,12 @@ def continuity_check(n_points: int, seed: int) -> CheckResult:
             a = rng.uniform(0.05, 5.0)
             lo, hi = rate(a, 1.0 - eps, p1, p2), rate(a, 1.0 + eps, p1, p2)
             where = f"b=1, a={a}"
-        elif kind == 2:  # b = beta1, needs a < 1
+        elif kind in (2, 3):  # b = beta1 or b = beta2, needs a < 1
             a = rng.uniform(0.05, 0.95)
-            b0 = (1.0 + p1) / (1.0 + a * p1)
+            th = Thresholds.at(ChannelGains(a, 0.0), PowerAllocation(p1, p2))
+            name, b0 = ("beta1", th.beta1) if kind == 2 else ("beta2", th.beta2)
             lo, hi = rate(a, b0 - eps, p1, p2), rate(a, b0 + eps, p1, p2)
-            where = f"b=beta1={b0}, a={a}"
-        elif kind == 3:  # b = beta2, needs a < 1
-            a = rng.uniform(0.05, 0.95)
-            b0 = a * (1.0 + p1) / (1.0 + a * p1 + (1.0 - a) * p2)
-            lo, hi = rate(a, b0 - eps, p1, p2), rate(a, b0 + eps, p1, p2)
-            where = f"b=beta2={b0}, a={a}"
+            where = f"b={name}={b0}, a={a}"
         elif kind == 4:  # a = 1
             b = rng.uniform(0.0, 5.0)
             lo, hi = rate(1.0 - eps, b, p1, p2), rate(1.0 + eps, b, p1, p2)

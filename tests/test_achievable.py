@@ -13,6 +13,8 @@ from coopjam.achievable import (
     wiretap_capacity,
 )
 from coopjam.model import ChannelGains, PowerAllocation, gauss_cap
+from coopjam.model import DomainError
+from coopjam.power import _rate_grid
 
 
 def rate_at(a, b, p1, p2):
@@ -192,3 +194,41 @@ def test_rate_non_increasing_in_eavesdropper_gain():
         r0, _ = rate_at(a, b, p1, p2)
         r1, _ = rate_at(a + step, b, p1, p2)
         assert r1.value <= r0.value + 1e-9
+
+
+# Points on a boundary take the branch its left-closed test selects.
+# Labels taken from the implementation that wrote each regime out apart.
+@pytest.mark.parametrize(
+    "a, b, p1, p2, label",
+    [
+        (1.0, 0.5, 1.0, 1.0, "I-3"),
+        (1.0, 1.0, 1.0, 1.0, "I-2"),
+        (1.0, 2.0, 1.0, 1.0, "I-1"),
+        (2.0, 2.0, 1.0, 1.0, "ZERO-1"),
+        (2.0, 3.0, 1.0, 3.0, "I-1"),
+        (0.5, 2.0, 1.0, 1.0, "II-1"),
+        (0.5, 1.5, 2.0, 1.0, "II-2"),
+        (0.5, 1.0, 1.0, 1.0, "II-3"),
+        (0.5, 0.75, 2.0, 1.0, "II-3"),
+        (0.5, 0.5, 2.0, 2.0, "II-3"),
+        (0.5, 0.25, 2.0, 2.0, "II-4"),
+    ],
+)
+def test_exact_ties_keep_left_closed_labels(a, b, p1, p2, label):
+    rate, branch = rate_at(a, b, p1, p2)
+    assert str(branch) == label
+    grid = _rate_grid(a, b, np.array([p1]), np.array([p2]))
+    assert grid[0, 0] == pytest.approx(rate.value, abs=1e-12)
+
+
+def test_selected_term_overflow_is_a_domain_error():
+    # The joint term's SNR p1 + b*p2 overflows to inf.
+    with pytest.raises(DomainError):
+        rate_at(0.5, 1e10, 1e300, 1e300)
+
+
+def test_unselected_term_overflow_leaves_rate_finite():
+    # Only the joint and treat-as-noise SNRs overflow; decode-first applies.
+    rate, branch = rate_at(0.5, 1e300, 1e300, 1e300)
+    assert str(branch) == "II-1"
+    assert rate.value == pytest.approx(497.996732983, abs=1e-9)

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from coopjam import power
 from coopjam.achievable import achievable_rate
+from coopjam.cli import main
+from coopjam.model import InvariantViolation
 from coopjam.model import ChannelGains, DomainError, PowerAllocation, PowerBudget
 from coopjam.power import (
     AllocationSource,
@@ -208,3 +211,16 @@ class TestAsymptoticRate:
         assert wiretap_asymptotic_rate(0.25).value == pytest.approx(1.0, abs=1e-15)
         assert wiretap_asymptotic_rate(2.0).value == 0.0
         assert wiretap_asymptotic_rate(0.0).unbounded
+
+
+def test_negative_p2_star_is_an_invariant_violation(monkeypatch, capsys):
+    # The a >= 1 jamming case takes p2_star; a negative one is a bug that
+    # must surface under python -O too, and map to exit code 1.
+    monkeypatch.setattr(
+        power, "critical_powers", lambda gains, budget: power.CriticalPowers(-0.5, -1.0)
+    )
+    with pytest.raises(InvariantViolation):
+        optimal_allocation(ChannelGains(1.5, 0.5), PowerBudget(2.0, 3.0))
+    code = main(["power", "--a", "1.5", "--b", "0.5", "--pbar1", "2", "--pbar2", "3"])
+    assert code == 1
+    assert "invariant violation:" in capsys.readouterr().err
