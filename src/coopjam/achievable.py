@@ -13,8 +13,9 @@ regimes exist in `a`:
   collapse to 1, so the cancel-free term is never selected.
 * REGIME_II  (a < 1): the legitimate channel is stronger to begin with.
 
-`_conditions` and `_terms` write the tests and the terms once, for float
-or NumPy powers, so the lattice oracle in `power` evaluates them too.
+`_conditions` and `_snrs` write the tests and the rate terms' SNRs once,
+for float or NumPy inputs, so the lattice oracle in `power` and the
+sweep's columns evaluate them too.
 
 All functions are pure and thread-safe.
 """
@@ -97,8 +98,8 @@ class Thresholds:
 
     beta1 separates joint decoding from the cancel-free middle branch,
     beta2 separates that branch from treating the jamming as noise.
-    For a < 1 they satisfy beta2 <= 1 <= beta1 <= 1 + P1; at a == 1 both
-    collapse to 1.  Only meaningful for a <= 1.
+    For a < 1 they satisfy beta2 <= 1 <= beta1 <= 1 + P1; for a >= 1 both
+    are 1, the values the rate's interval tests use there.
     """
 
     beta1: float
@@ -106,27 +107,30 @@ class Thresholds:
 
     @classmethod
     def at(cls, gains: ChannelGains, alloc: PowerAllocation) -> "Thresholds":
-        return cls(*_betas(gains.a, alloc.p1, alloc.p2))
+        return cls(*_betas(min(gains.a, 1.0), alloc.p1, alloc.p2))
 
 
 def _betas(a, p1, p2):
-    """(beta1, beta2) at float or array powers."""
+    """(beta1, beta2) at float or array inputs with a <= 1.
+
+    The denominator of beta2 is then at least 1.  At a == 1 both come out
+    exactly 1.0: (1 + p1) / (1 + p1) rounds to 1 for every finite p1.
+    """
     beta1 = (1.0 + p1) / (1.0 + a * p1)
-    den = 1.0 + a * p1 + (1.0 - a) * p2
-    # den >= 1 for every a <= 1, the only gains that reach this with array
-    # powers; for a > 1 the threshold is moot.
-    beta2 = a * (1.0 + p1) / den if a <= 1.0 or den > 0.0 else math.inf
+    beta2 = a * (1.0 + p1) / (1.0 + a * p1 + (1.0 - a) * p2)
     return beta1, beta2
 
 
-def _conditions(a, b, p1, p2):
+def _conditions(a, b, p1, p2, regime_i):
     """The left-closed interval tests, in priority order.
 
     The ZERO regime, then the decode-first, joint and cancel-free terms;
-    treat-as-noise applies when none holds.  Powers may be floats or
-    broadcastable arrays; the gains are floats.
+    treat-as-noise applies when none holds.  Gains and powers may be
+    floats or broadcastable arrays.  `regime_i` (a >= 1) sets both
+    thresholds to 1, so the cancel-free term is never selected there; an
+    array caller evaluates both regimes and selects by a.
     """
-    beta1, beta2 = (1.0, 1.0) if a >= 1.0 else _betas(a, p1, p2)
+    beta1, beta2 = (1.0, 1.0) if regime_i else _betas(a, p1, p2)
     return a >= 1.0 + p2, b >= 1.0 + p1, b >= beta1, b >= beta2
 
 
@@ -134,20 +138,17 @@ def _cap(x, log2):
     return 0.5 * log2(1.0 + x)
 
 
-def _terms(a, b, p1, p2, log2):
-    """The decode-first, joint, cancel-free and treat-as-noise rate terms.
+# Rate term k -- decode-first, joint, cancel-free, treat-as-noise -- is
+# _cap(snr[i]) - _cap(snr[j]) for (i, j) = _TERM_SNRS[k], snr = _snrs(...).
+_TERM_SNRS = ((0, 1), (2, 3), (0, 4), (5, 1))
 
-    `log2` is `math.log2` for floats and `np.log2` for arrays.  Nothing
-    is validated: a term whose SNR overflows comes out non-finite.
+
+def _snrs(a, b, p1, p2):
+    """The six distinct SNRs of the four rate terms, for float or array inputs.
+
+    Nothing is validated: an SNR that overflows comes out infinite.
     """
-    direct = _cap(p1, log2)
-    eave = _cap(a * p1 / (1.0 + p2), log2)
-    return (
-        direct - eave,
-        _cap(p1 + b * p2, log2) - _cap(a * p1 + p2, log2),
-        direct - _cap(a * p1, log2),
-        _cap(p1 / (1.0 + b * p2), log2) - eave,
-    )
+    return p1, a * p1 / (1.0 + p2), p1 + b * p2, a * p1 + p2, a * p1, p1 / (1.0 + b * p2)
 
 
 def achievable_rate(
@@ -162,13 +163,16 @@ def achievable_rate(
     """
     a, b = gains.a, gains.b
     p1, p2 = alloc.p1, alloc.p2
+    regime_i = a >= 1.0
 
-    zero, decode, joint, mid = _conditions(a, b, p1, p2)
+    zero, decode, joint, mid = _conditions(a, b, p1, p2, regime_i)
     if zero:
         return RateValue(0.0), _ZERO_BRANCH
     k = 0 if decode else 1 if joint else 2 if mid else 3
-    raw = _terms(a, b, p1, p2, math.log2)[k]
-    branch = _TERM_BRANCHES[Regime.REGIME_I if a >= 1.0 else Regime.REGIME_II][k]
+    i, j = _TERM_SNRS[k]
+    snr = _snrs(a, b, p1, p2)
+    raw = _cap(snr[i], math.log2) - _cap(snr[j], math.log2)
+    branch = _TERM_BRANCHES[Regime.REGIME_I if regime_i else Regime.REGIME_II][k]
     if not math.isfinite(raw):
         raise DomainError(f"rate of branch {branch} overflows at {gains}, {alloc}")
     if raw < _NEG_TOL and (a < 1.0 or k == 0):

@@ -30,6 +30,7 @@ from .model import (
     PowerAllocation,
     PowerBudget,
     RateValue,
+    _square,
     gauss_cap,
     pos_part,
 )
@@ -51,6 +52,8 @@ _RHO_CLAMP = 1.0 - 1e-12
 # Below this combined cross-amplitude the minimizer formula is 0/0 while
 # f itself is well defined (and minimized at rho = 0).
 _DEGENERATE_S = 1e-12
+# delta is a product of nonnegative sums; below -this it was misevaluated.
+_DELTA_TOL = 1e-12
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -104,45 +107,73 @@ def sato_f(
         raise DomainError(f"rho must lie strictly inside (-1, 1), got {r!r}")
     a, b = gains.a, gains.b
     p1, p2 = alloc.p1, alloc.p2
-    eave = 1.0 + a * p1 + p2
-    s = math.sqrt(a) * p1 + math.sqrt(b) * p2
-    num = (1.0 + p1 + b * p2) * eave - (r + s) ** 2
+    num, arg = _f_log_arg(a, b, p1, p2, r)
     if num <= 0.0:
         # Analytically impossible for |rho| < 1; report, never clamp.
         raise InvariantViolation(
             f"nonpositive log argument {num} at a={a}, b={b}, p1={p1}, p2={p2}, rho={r}"
         )
-    return 0.5 * math.log2(num / ((1.0 - r * r) * eave))
+    return 0.5 * math.log2(arg)
+
+
+def _f_log_arg(a, b, p1, p2, r, sqrt=math.sqrt, square=_square):
+    """The numerator A*B - (rho + s)^2 of f's log argument, and the argument.
+
+    Float or array inputs, with `sqrt` and `square` to match; nothing is
+    checked.
+    """
+    eave = 1.0 + a * p1 + p2
+    s = sqrt(a) * p1 + sqrt(b) * p2
+    num = (1.0 + p1 + b * p2) * eave - square(r + s, "(rho + s)^2 in the bound")
+    return num, num / ((1.0 - r * r) * eave)
+
+
+def _star_terms(a, b, p1, p2, sqrt=math.sqrt, square=_square):
+    """s, m, the two discriminant factors and delta, for float or array inputs.
+
+    The factors equal m - 2s and m + 2s but are computed as sums of
+    nonnegative products, so delta = lo * hi cannot go negative through
+    cancellation.  Nothing is checked; see `_star_parts`.
+    """
+    ra, rb = sqrt(a), sqrt(b)
+    s = ra * p1 + rb * p2
+    cross = square(sqrt(a * b) - 1.0, "(sqrt(a*b) - 1)^2 in the bound") * p1 * p2
+    m = (1.0 + a) * p1 + (1.0 + b) * p2 + cross
+    d_lo = (
+        square(ra - 1.0, "(sqrt(a) - 1)^2 in the bound") * p1
+        + square(rb - 1.0, "(sqrt(b) - 1)^2 in the bound") * p2
+        + cross
+    )
+    d_hi = (
+        square(ra + 1.0, "(sqrt(a) + 1)^2 in the bound") * p1
+        + square(rb + 1.0, "(sqrt(b) + 1)^2 in the bound") * p2
+        + cross
+    )
+    return s, m, d_lo, d_hi, d_lo * d_hi
 
 
 def _star_parts(
     a: float, b: float, p1: float, p2: float
 ) -> tuple[float, float, float, float, float]:
-    """Shared pieces of the minimizer: s, m, the two discriminant factors, delta.
-
-    The factors equal m - 2s and m + 2s but are computed as sums of
-    nonnegative products, so delta = lo * hi cannot go negative through
-    cancellation.
-    """
-    ra, rb = math.sqrt(a), math.sqrt(b)
-    s = ra * p1 + rb * p2
-    cross = (math.sqrt(a * b) - 1.0) ** 2 * p1 * p2
-    m = (1.0 + a) * p1 + (1.0 + b) * p2 + cross
-    d_lo = (ra - 1.0) ** 2 * p1 + (rb - 1.0) ** 2 * p2 + cross
-    d_hi = (ra + 1.0) ** 2 * p1 + (rb + 1.0) ** 2 * p2 + cross
-    delta = d_lo * d_hi
-    if not delta >= -1e-12:
+    """Shared pieces of the minimizer: s, m, the two discriminant factors, delta."""
+    s, m, d_lo, d_hi, delta = _star_terms(a, b, p1, p2)
+    if not delta >= -_DELTA_TOL:
         raise InvariantViolation(
             f"negative discriminant {delta} at a={a}, b={b}, p1={p1}, p2={p2}"
         )
     return s, m, d_lo, d_hi, max(delta, 0.0)
 
 
+def _rho_root(s, m, delta, sqrt=math.sqrt):
+    """The minimizer 2s / (m + sqrt(delta)), for float or array inputs."""
+    return 2.0 * s / (m + sqrt(delta))
+
+
 def _unclamped_rho(s: float, m: float, delta: float) -> float:
-    """The minimizer 2s / (m + sqrt(delta)) before clamping; 0 when s vanishes."""
+    """The minimizer before clamping; 0 when s vanishes."""
     if s <= _DEGENERATE_S:
         return 0.0
-    return 2.0 * s / (m + math.sqrt(delta))
+    return _rho_root(s, m, delta)
 
 
 def rho_star(gains: ChannelGains, alloc: PowerAllocation) -> NoiseCorrelation:

@@ -135,3 +135,14 @@ def gauss_cap(x: float) -> float:
 def pos_part(x: float) -> float:
     """max(x, 0); the clipping applied to rate differences."""
     return x if x > 0.0 else 0.0
+
+
+def _square(x: float, name: str) -> float:
+    """x ** 2 through libm pow, exactly as Python's `x ** 2` (not x * x).
+
+    An overflow is a DomainError that names the quantity `name`.
+    """
+    try:
+        return math.pow(x, 2.0)
+    except OverflowError:
+        raise DomainError(f"{name} overflows the float range (squaring {x!r})") from None

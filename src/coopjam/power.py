@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .achievable import BranchLabel, _conditions, _terms, achievable_rate
+from .achievable import _TERM_SNRS, BranchLabel, _cap, _conditions, _snrs, achievable_rate
 from .model import (
     ChannelGains,
     DomainError,
@@ -33,6 +33,7 @@ from .model import (
     PowerBudget,
     RateValue,
     _require_finite,
+    _square,
     pos_part,
 )
 
@@ -54,6 +55,8 @@ _DEGRADED_TOL = 1e-9
 # round to zero, and the grid asks for it only outside; _DEGRADED_TOL is
 # wider because it is about the closed form's accuracy, not definedness.
 _DEGRADED_EXACT_TOL = 1e-12
+# A p2_star radicand above -this is rounding noise around zero.
+_RADICAND_TOL = 1e-12
 
 
 class AllocationSource(Enum):
@@ -95,14 +98,52 @@ def critical_powers(gains: ChannelGains, budget: PowerBudget) -> CriticalPowers:
     if b == 0.0:
         p2_star = math.inf
     else:
-        radicand = (a - 1.0) ** 2 + (1.0 / b - a) * (
-            a - b + (1.0 - b) * a * budget.p1_max
-        )
-        if radicand >= -1e-12:
-            p2_star = (a - 1.0 + math.sqrt(max(radicand, 0.0))) / (1.0 - a * b)
-        else:
-            p2_star = math.nan
+        radicand, root = _p2_star_terms(a, b, budget.p1_max)
+        p2_star = root if radicand >= -_RADICAND_TOL else math.nan
     return CriticalPowers(p1_star, p2_star)
+
+
+def _p2_star_terms(a, b, pb1, sqrt=math.sqrt, square=_square, maximum=max):
+    """p2_star's radicand, and the root it gives when not negative.
+
+    Float or array inputs, with `sqrt`, `square` and `maximum` to match;
+    defined for b > 0 and a*b < 1.  Nothing is checked.
+    """
+    radicand = square(a - 1.0, "(a - 1)^2 in p2_star") + (1.0 / b - a) * (
+        a - b + (1.0 - b) * a * pb1
+    )
+    return radicand, (a - 1.0 + sqrt(maximum(radicand, 0.0))) / (1.0 - a * b)
+
+
+def _allocation_cases(a, b, pb1, pb2, regime_i, minimum=min):
+    """The closed-form cases of one regime: their tests, p1s and p2s.
+
+    `regime_i` selects the cases for a >= 1, otherwise those for a < 1.
+    The first case whose test holds applies; the last test is True.  A
+    p2 of None marks the jamming case, which transmits min(pb2, p2_star)
+    and falls back to the grid oracle near the degraded line.  Gains and
+    budgets may be floats or arrays (with `minimum` to match), so the
+    tests combine with `&`.
+    """
+    ab = a * b
+    if regime_i:
+        return (
+            ((b > 1.0) & (pb2 > a - 1.0), (ab < 1.0) & (pb2 * (1.0 - ab) > a - 1.0), True),
+            (minimum(pb1, b - 1.0), pb1, 0.0),
+            (pb2, None, 0.0),
+        )
+    return (
+        (
+            (b >= 1.0) & (pb1 < b - 1.0),
+            (ab >= 1.0) & (pb1 >= b - 1.0) & (pb2 * (ab - 1.0) < 1.0 - a),
+            (ab >= 1.0) & (pb1 >= b - 1.0),
+            (b >= 1.0) & (b - 1.0 <= pb1) & (pb1 * (1.0 - ab) < b - 1.0),
+            (b < 1.0) & (a * (1.0 - b) * pb1 >= b - a),
+            True,
+        ),
+        (pb1, pb1, b - 1.0, pb1, pb1, pb1),
+        (pb2, pb2, pb2, pb2, None, 0.0),
+    )
 
 
 def optimal_allocation(
@@ -117,43 +158,28 @@ def optimal_allocation(
     """
     a, b = gains.a, gains.b
     pb1, pb2 = budget.p1_max, budget.p2_max
-    ab = a * b
-
-    if a >= 1.0:
-        if b > 1.0 and pb2 > a - 1.0:
-            alloc = PowerAllocation(min(pb1, b - 1.0), pb2)
-        elif ab < 1.0 and pb2 * (1.0 - ab) > a - 1.0:
-            if 1.0 - ab < _DEGRADED_TOL:
-                return grid_search_allocation(gains, budget, fallback_grid_steps)
-            p2_star = critical_powers(gains, budget).p2_star
-            if not p2_star >= 0.0:
-                raise InvariantViolation(f"p2_star {p2_star} < 0 at {gains}, {budget}")
-            alloc = PowerAllocation(pb1, min(pb2, p2_star))
-        else:
-            alloc = PowerAllocation(0.0, 0.0)
-    else:
-        if b >= 1.0 and pb1 < b - 1.0:
-            alloc = PowerAllocation(pb1, pb2)
-        elif ab >= 1.0 and pb1 >= b - 1.0 and pb2 * (ab - 1.0) < 1.0 - a:
-            alloc = PowerAllocation(pb1, pb2)
-        elif ab >= 1.0 and pb1 >= b - 1.0:
-            alloc = PowerAllocation(b - 1.0, pb2)
-        elif b >= 1.0 and b - 1.0 <= pb1 and pb1 * (1.0 - ab) < b - 1.0:
-            alloc = PowerAllocation(pb1, pb2)
-        elif b < 1.0 and a * (1.0 - b) * pb1 >= b - a:
-            if 1.0 - ab < _DEGRADED_TOL:
-                return grid_search_allocation(gains, budget, fallback_grid_steps)
-            p2_star = critical_powers(gains, budget).p2_star
-            if not p2_star >= 0.0:
-                raise InvariantViolation(f"p2_star {p2_star} < 0 at {gains}, {budget}")
-            alloc = PowerAllocation(pb1, min(pb2, p2_star))
-        else:
-            alloc = PowerAllocation(pb1, 0.0)
-
+    tests, p1s, p2s = _allocation_cases(a, b, pb1, pb2, a >= 1.0)
+    k = tests.index(True)
+    p1, p2 = p1s[k], p2s[k]
+    if p2 is None:
+        if 1.0 - a * b < _DEGRADED_TOL:
+            return grid_search_allocation(gains, budget, fallback_grid_steps)
+        p2_star = critical_powers(gains, budget).p2_star
+        if not p2_star >= 0.0:
+            raise InvariantViolation(f"p2_star {p2_star} < 0 at {gains}, {budget}")
+        p2 = min(pb2, p2_star)
+    alloc = PowerAllocation(p1, p2)
     if not alloc.within(budget):
         raise InvariantViolation(f"allocation {alloc} exceeds budget {budget}")
     rate, branch = achievable_rate(gains, alloc)
     return AllocationResult(alloc, rate, AllocationSource.CLOSED_FORM, branch)
+
+
+# The lattice is evaluated in blocks of rows of about this many cells.
+# Temporaries of that size (128 KiB) are reused from the heap; larger ones
+# are mapped and page-faulted in anew on every call, which cost a whole
+# 302 x 302 lattice about a third of its time.
+_GRID_BLOCK_CELLS = 1 << 14
 
 
 def _rate_grid(a: float, b: float, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
@@ -164,8 +190,16 @@ def _rate_grid(a: float, b: float, p1: np.ndarray, p2: np.ndarray) -> np.ndarray
     """
     P1 = np.asarray(p1, dtype=float)[:, None]
     P2 = np.asarray(p2, dtype=float)[None, :]
-    zero, decode, joint, mid = _conditions(a, b, P1, P2)
-    v_decode, v_joint, v_mid, v_noise = _terms(a, b, P1, P2, np.log2)
+    rows = max(1, _GRID_BLOCK_CELLS // max(P2.size, 1))
+    blocks = range(0, max(len(P1), 1), rows)
+    return np.concatenate([_rate_block(a, b, P1[i : i + rows], P2) for i in blocks])
+
+
+def _rate_block(a: float, b: float, P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
+    zero, decode, joint, mid = _conditions(a, b, P1, P2, a >= 1.0)
+    # Each distinct SNR is capped once.
+    caps = [_cap(snr, np.log2) for snr in _snrs(a, b, P1, P2)]
+    v_decode, v_joint, v_mid, v_noise = (caps[i] - caps[j] for i, j in _TERM_SNRS)
     inner = np.where(joint, v_joint, np.where(mid, v_mid, v_noise))
     rate = np.where(zero, 0.0, np.where(decode, v_decode, inner))
     return np.maximum(rate, 0.0)

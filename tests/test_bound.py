@@ -216,3 +216,15 @@ class TestSatoUpperBound:
             gains = ChannelGains(rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0))
             budget = PowerBudget(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
             assert sato_upper_bound(gains, budget).discriminant >= 0.0
+
+
+def test_overflowing_square_is_a_domain_error(capsys):
+    # (rho + s)^2 in f's numerator leaves the float range; no bare
+    # OverflowError may escape, and the CLI reports a domain error.
+    from coopjam.cli import main
+
+    with pytest.raises(DomainError, match=r"\(rho \+ s\)\^2"):
+        sato_upper_bound(ChannelGains(1e200, 0.5), PowerBudget(1e200, 1e200))
+    argv = ["bound", "--a", "1e200", "--b", "0.5", "--pbar1", "1e200", "--pbar2", "1e200"]
+    assert main(argv) == 2
+    assert "(rho + s)^2" in capsys.readouterr().err

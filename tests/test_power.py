@@ -224,3 +224,13 @@ def test_negative_p2_star_is_an_invariant_violation(monkeypatch, capsys):
     code = main(["power", "--a", "1.5", "--b", "0.5", "--pbar1", "2", "--pbar2", "3"])
     assert code == 1
     assert "invariant violation:" in capsys.readouterr().err
+
+
+def test_overflowing_p2_star_square_is_a_domain_error(capsys):
+    # The jamming case of a >= 1 needs p2_star, whose (a - 1)^2 leaves the
+    # float range; no bare OverflowError may escape.
+    with pytest.raises(DomainError, match=r"\(a - 1\)\^2"):
+        optimal_allocation(ChannelGains(1e200, 1e-300), PowerBudget(1e5, 1e300))
+    argv = ["power", "--a", "1e200", "--b", "1e-300", "--pbar1", "1e5", "--pbar2", "1e300"]
+    assert main(argv) == 2
+    assert "(a - 1)^2" in capsys.readouterr().err

@@ -1,12 +1,21 @@
+import math
+
 import pytest
 
-from coopjam.achievable import achievable_rate
+from coopjam.achievable import BranchLabel, Regime, achievable_rate
 from coopjam.bound import sato_upper_bound
-from coopjam.model import ChannelGains, DomainError, PowerAllocation, PowerBudget
-from coopjam.power import optimal_allocation
+from coopjam.model import (
+    ChannelGains,
+    DomainError,
+    PowerAllocation,
+    PowerBudget,
+    RateValue,
+)
+from coopjam.power import AllocationSource, optimal_allocation
 from coopjam.sweep import (
     CSV_HEADER,
     PowerMode,
+    SweepRow,
     SweepSpec,
     render_csv,
     run_sweep,
@@ -116,3 +125,89 @@ def test_spec_validation():
         SweepSpec(param="a", start=0.0, end=1.0, steps=0, budget=PowerBudget(1, 1))
     with pytest.raises(DomainError):
         SweepSpec(param="a", start=-1.0, end=1.0, steps=3, budget=PowerBudget(1, 1))
+
+
+def test_bool_steps_is_rejected():
+    with pytest.raises(DomainError, match="steps"):
+        SweepSpec("a", 0.0, 4.0, True, PowerBudget(1.0, 1.0))
+
+
+def _direct_row(spec, x):
+    """(reprs of rate, bound, p1, p2, label), source, rho_star by scalar calls at x."""
+    if spec.symmetric:
+        gains = ChannelGains(x, x)
+    elif spec.param == "a":
+        gains = ChannelGains(x, spec.fixed_gain)
+    else:
+        gains = ChannelGains(spec.fixed_gain, x)
+    source = None
+    if spec.power_mode is PowerMode.OPTIMAL_CONTROL:
+        best = optimal_allocation(gains, spec.budget)
+        alloc, rate, branch, source = best.alloc, best.rate, best.branch, best.source
+    else:
+        alloc = PowerAllocation(spec.budget.p1_max, spec.budget.p2_max)
+        rate, branch = achievable_rate(gains, alloc)
+    ev = sato_upper_bound(gains, spec.budget)
+    values = (repr(rate), repr(ev.final_bound), repr(alloc.p1), repr(alloc.p2), str(branch))
+    return values, source, ev.rho_star.rho
+
+
+_B2 = PowerBudget(2.0, 2.0)
+_EQUIVALENCE_CURVES = [
+    # The fig2/3/4 presets at 800 steps; at x = 0.285 of the two 1.2
+    # curves, squaring by x * x instead of libm pow changes the bound.
+    SweepSpec("a", 0.0, 4.0, 800, _B2, symmetric=True),
+    SweepSpec("b", 0.0, 4.0, 800, _B2, 0.6),
+    SweepSpec("b", 0.0, 4.0, 800, _B2, 1.2),
+    SweepSpec("a", 0.0, 4.0, 800, _B2, 0.2),
+    SweepSpec("a", 0.0, 4.0, 800, _B2, 1.2),
+    # Fixed-gain curves crossing a*b = 1 next to a = b = 1, where the
+    # allocation falls back to the grid oracle and the bound is cancelled.
+    SweepSpec("a", 1.0 - 2e-9, 1.0 + 2e-9, 12, _B2, 1.0 - 5e-10),
+    SweepSpec("b", 1.0 - 2e-9, 1.0 + 2e-9, 12, _B2, 1.0 - 5e-10),
+    # A large jammer budget moves the fallback away from a = 1: two rows
+    # take the grid oracle while rho* stays near 0.99995.
+    SweepSpec("a", 1.0 / 0.9999 - 2e-9, 1.0 / 0.9999 + 2e-9, 8, PowerBudget(2.0, 1e6), 0.9999),
+    SweepSpec("a", 1.0, 3.0, 40, _B2, 0.5),
+    SweepSpec("a", 0.0, 4.0, 80, _B2, symmetric=True, power_mode=PowerMode.FULL_POWER),
+    # Longer than one block of columns; its last row (a = b = 1) replays.
+    SweepSpec("a", 0.0, 1.0, 5000, _B2, symmetric=True),
+    # b reaches 1 + P1 = 3 exactly after six of its eight steps.
+    SweepSpec("b", 0.0, 4.0, 8, _B2, 0.5),
+    SweepSpec("a", 0.7, 0.7, 5, _B2, 1.3),
+    SweepSpec("b", 0.5, 2.5, 1, _B2, 0.6),
+]
+
+
+def test_rows_equal_the_scalar_path_row_by_row():
+    sources, rhos = set(), []
+    for spec in _EQUIVALENCE_CURVES:
+        for row in run_sweep(spec):
+            values, source, rho = _direct_row(spec, row.x)
+            got = (repr(row.achievable), repr(row.upper_bound), repr(row.p1), repr(row.p2), str(row.branch))
+            assert got == values, (spec, row.x)
+            sources.add(source)
+            rhos.append(rho)
+    assert AllocationSource.GRID_ORACLE in sources
+    assert max(rhos) >= 1.0 - 1e-9
+
+
+def test_overflowing_square_in_a_sweep_is_a_domain_error():
+    spec = SweepSpec("a", 0.0, 1e200, 400, PowerBudget(1e200, 1e200), 0.5)
+    with pytest.raises(DomainError, match=r"\(rho \+ s\)\^2"):
+        run_sweep(spec)
+
+
+def test_csv_renders_special_values_like_format_specs():
+    ii4, zero = BranchLabel(Regime.REGIME_II, 4), BranchLabel(Regime.ZERO, 1)
+    rows = [
+        SweepRow(-0.0, RateValue(0.0), RateValue(math.inf), 1e-300, 1e300, ii4),
+        SweepRow(1e-300, RateValue(1e300), RateValue(math.inf), -0.0, 2.5e-7, zero),
+        SweepRow(1e300, RateValue(1 / 3), RateValue(123456789012345.0), 0.1, 1e16, ii4),
+    ]
+    assert render_csv(rows) == (
+        "x,achievable_rate,upper_bound,p1,p2,branch\n"
+        "-0,0,inf,1e-300,1e+300,II-4\n"
+        "1e-300,1e+300,inf,-0,2.5e-07,ZERO-1\n"
+        "1e+300,0.333333333333,1.23456789012e+14,0.1,1e+16,II-4\n"
+    )
