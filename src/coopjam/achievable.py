@@ -13,9 +13,9 @@ regimes exist in `a`:
   collapse to 1, so the cancel-free term is never selected.
 * REGIME_II  (a < 1): the legitimate channel is stronger to begin with.
 
-`_conditions` and `_snrs` write the tests and the rate terms' SNRs once,
-for float or NumPy inputs, so the lattice oracle in `power` and the
-sweep's columns evaluate them too.
+`_conditions` and `_term_snrs` write the tests and the rate terms' SNRs
+once, for float or NumPy inputs, so the lattice oracle in `power` and
+the sweep's columns evaluate them too.
 
 All functions are pure and thread-safe.
 """
@@ -80,8 +80,9 @@ class BranchLabel:
         return f"{self.regime.value}-{self.sub_case}"
 
 
-# Labels are immutable, so each is built once.  The rate terms of `_terms`
-# map to sub-cases in order; regime I never reaches the cancel-free term.
+# Labels are immutable, so each is built once.  The rate terms of
+# `_term_snrs` map to sub-cases in order; regime I never reaches the
+# cancel-free term.
 _ZERO_BRANCH = BranchLabel(Regime.ZERO, 1)
 _TERM_BRANCHES = {
     regime: tuple(None if sub is None else BranchLabel(regime, sub) for sub in subs)
@@ -138,17 +139,20 @@ def _cap(x, log2):
     return 0.5 * log2(1.0 + x)
 
 
-# Rate term k -- decode-first, joint, cancel-free, treat-as-noise -- is
-# _cap(snr[i]) - _cap(snr[j]) for (i, j) = _TERM_SNRS[k], snr = _snrs(...).
-_TERM_SNRS = ((0, 1), (2, 3), (0, 4), (5, 1))
+def _term_snrs(k, a, b, p1, p2):
+    """The SNRs (x, y) of rate term k, which is _cap(x) - _cap(y).
 
-
-def _snrs(a, b, p1, p2):
-    """The six distinct SNRs of the four rate terms, for float or array inputs.
-
-    Nothing is validated: an SNR that overflows comes out infinite.
+    Terms in order: decode-first, joint, cancel-free, treat-as-noise.
+    Float or array inputs; nothing is validated, so an SNR that overflows
+    comes out infinite.  The cancel-free term does not read p2.
     """
-    return p1, a * p1 / (1.0 + p2), p1 + b * p2, a * p1 + p2, a * p1, p1 / (1.0 + b * p2)
+    if k == 1:
+        return p1 + b * p2, a * p1 + p2
+    if k == 2:
+        return p1, a * p1
+    # Decode-first and treat-as-noise share the eavesdropper's SNR.
+    x = p1 if k == 0 else p1 / (1.0 + b * p2)
+    return x, a * p1 / (1.0 + p2)
 
 
 def achievable_rate(
@@ -169,9 +173,8 @@ def achievable_rate(
     if zero:
         return RateValue(0.0), _ZERO_BRANCH
     k = 0 if decode else 1 if joint else 2 if mid else 3
-    i, j = _TERM_SNRS[k]
-    snr = _snrs(a, b, p1, p2)
-    raw = _cap(snr[i], math.log2) - _cap(snr[j], math.log2)
+    x, y = _term_snrs(k, a, b, p1, p2)
+    raw = _cap(x, math.log2) - _cap(y, math.log2)
     branch = _TERM_BRANCHES[Regime.REGIME_I if regime_i else Regime.REGIME_II][k]
     if not math.isfinite(raw):
         raise DomainError(f"rate of branch {branch} overflows at {gains}, {alloc}")

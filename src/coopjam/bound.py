@@ -169,11 +169,23 @@ def _rho_root(s, m, delta, sqrt=math.sqrt):
     return 2.0 * s / (m + sqrt(delta))
 
 
-def _unclamped_rho(s: float, m: float, delta: float) -> float:
-    """The minimizer before clamping; 0 when s vanishes."""
+def _unclamped_rho(
+    s: float, m: float, delta: float, a: float, b: float, p1: float, p2: float
+) -> float:
+    """The minimizer before clamping; 0 when s vanishes.
+
+    Raises DomainError when the root is NaN: s and m both overflow and
+    the quotient is inf/inf.
+    """
     if s <= _DEGENERATE_S:
         return 0.0
-    return _rho_root(s, m, delta)
+    rho = _rho_root(s, m, delta)
+    if math.isnan(rho):
+        raise DomainError(
+            f"rho* = 2s / (m + sqrt(delta)) is inf/inf: s = {s} and m = {m} "
+            f"overflow at a={a}, b={b}, p1={p1}, p2={p2}"
+        )
+    return rho
 
 
 def rho_star(gains: ChannelGains, alloc: PowerAllocation) -> NoiseCorrelation:
@@ -186,8 +198,9 @@ def rho_star(gains: ChannelGains, alloc: PowerAllocation) -> NoiseCorrelation:
     cross-amplitudes zero f's minimum sits at rho = 0, which is returned
     directly.
     """
-    s, m, _, _, delta = _star_parts(gains.a, gains.b, alloc.p1, alloc.p2)
-    return NoiseCorrelation(min(_unclamped_rho(s, m, delta), _RHO_CLAMP))
+    a, b, p1, p2 = gains.a, gains.b, alloc.p1, alloc.p2
+    s, m, _, _, delta = _star_parts(a, b, p1, p2)
+    return NoiseCorrelation(min(_unclamped_rho(s, m, delta, a, b, p1, p2), _RHO_CLAMP))
 
 
 def rho_min_oracle(
@@ -270,7 +283,7 @@ def sato_upper_bound(gains: ChannelGains, budget: PowerBudget) -> SatoEvaluation
     p1, p2 = budget.p1_max, budget.p2_max
     full = PowerAllocation(p1, p2)
     s, m, d_lo, d_hi, delta = _star_parts(a, b, p1, p2)
-    raw = _unclamped_rho(s, m, delta)
+    raw = _unclamped_rho(s, m, delta, a, b, p1, p2)
     if raw >= 1.0 - _RHO_EDGE:
         f_at = _f_at_star_cancelled(a, b, p1, p2, s, m, d_lo, d_hi, raw)
     else:

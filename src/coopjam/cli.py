@@ -36,7 +36,7 @@ from .model import (
     PowerBudget,
     gauss_cap,
 )
-from .power import grid_search_allocation, optimal_allocation
+from .power import _check_grid_steps, grid_search_allocation, optimal_allocation
 from .sweep import PowerMode, SweepSpec, render_csv, run_sweep
 from .verify import run_all
 
@@ -117,6 +117,8 @@ def _cmd_power(args: argparse.Namespace) -> int:
     _require(args, "a", "b", "pbar1", "pbar2")
     gains = ChannelGains(args.a, args.b)
     budget = PowerBudget(args.pbar1, args.pbar2)
+    if args.check_grid:
+        _check_grid_steps(args.grid_steps)
     result = optimal_allocation(gains, budget)
     print(f"p1 = {result.alloc.p1:.12g}  p2 = {result.alloc.p2:.12g}")
     print(f"secrecy_rate = {result.rate.value:.12g} bit/channel use")
@@ -194,6 +196,7 @@ def _cmd_fig(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise DomainError(f"samples must be >= 1, got {args.samples}")
+    _check_grid_steps(args.grid_steps)
     print(f"seed = {args.seed}")
     results = run_all(args.samples, args.seed, args.grid_steps)
     failed = False

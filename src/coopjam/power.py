@@ -14,6 +14,16 @@ used to validate the closed form.  It evaluates the same rate terms and
 interval tests as `achievable_rate` and never consults the allocation
 case analysis (it only adds the critical points as extra lattice
 candidates, so agreement is not limited by lattice resolution).
+
+The lattice evaluates each cell's rate term only where its tests select
+it.  The decode-first and joint tests read p1 alone, so they hold for
+whole rows; the ZERO test reads p2 alone and holds for whole columns;
+only the cancel-free test (b >= beta2, regime II) is decided per cell,
+between treat-as-noise and the row's cancel-free value.  Every cell gets
+the bits of the scalar terms evaluated with `np.log2`: the same
+expression on the same operands, and `np.log2` always on a fresh
+contiguous array, since numpy may take another inner loop for a strided
+one.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .achievable import _TERM_SNRS, BranchLabel, _cap, _conditions, _snrs, achievable_rate
+from .achievable import BranchLabel, _cap, _conditions, _term_snrs, achievable_rate
 from .model import (
     ChannelGains,
     DomainError,
@@ -185,24 +195,60 @@ _GRID_BLOCK_CELLS = 1 << 14
 def _rate_grid(a: float, b: float, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Achievable rate on the outer product of two power vectors.
 
-    Evaluates the terms and tests of `achievable_rate` on whole arrays so
-    the lattice oracle stays fast.  Returns a (len(p1), len(p2)) array.
+    Evaluates the terms and tests of `achievable_rate` on arrays, in
+    blocks of rows, so the lattice oracle stays fast.  Each cell holds
+    the term its tests select, computed by the same expression on the
+    same operands as evaluating every term on the whole lattice would,
+    so the bits match that evaluation.  Returns a (len(p1), len(p2))
+    array.
     """
-    P1 = np.asarray(p1, dtype=float)[:, None]
-    P2 = np.asarray(p2, dtype=float)[None, :]
-    rows = max(1, _GRID_BLOCK_CELLS // max(P2.size, 1))
-    blocks = range(0, max(len(P1), 1), rows)
-    return np.concatenate([_rate_block(a, b, P1[i : i + rows], P2) for i in blocks])
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    rates = np.empty((len(p1), len(p2)))
+    rows = max(1, _GRID_BLOCK_CELLS // max(len(p2), 1))
+    for i in range(0, len(p1), rows):
+        _rate_block(a, b, p1[i : i + rows], p2, rates[i : i + rows])
+    return rates
 
 
-def _rate_block(a: float, b: float, P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
-    zero, decode, joint, mid = _conditions(a, b, P1, P2, a >= 1.0)
-    # Each distinct SNR is capped once.
-    caps = [_cap(snr, np.log2) for snr in _snrs(a, b, P1, P2)]
-    v_decode, v_joint, v_mid, v_noise = (caps[i] - caps[j] for i, j in _TERM_SNRS)
-    inner = np.where(joint, v_joint, np.where(mid, v_mid, v_noise))
-    rate = np.where(zero, 0.0, np.where(decode, v_decode, inner))
-    return np.maximum(rate, 0.0)
+def _rate_block(a: float, b: float, p1: np.ndarray, p2: np.ndarray, out: np.ndarray) -> None:
+    """Write the rate on the lattice p1 x p2 into `out`, one row class at a time.
+
+    Decode rows (b >= 1 + p1) take one 2-D log2, joint rows (b >= beta1,
+    or b >= 1 in regime I) two, and the remaining rows two for
+    treat-as-noise, whose cells with b >= beta2 (regime II only) take
+    the row's cancel-free value instead.  ZERO columns (a >= 1 + p2)
+    become 0 last, then negative rates are clipped, as in the scalar rate.
+    """
+    regime_i = a >= 1.0
+    # decode and joint read p1 alone and zero reads p2 alone, so each is
+    # tested on its own vector; the other power, 0.0, goes unread.
+    _, decode, joint, _ = _conditions(a, b, p1, 0.0, regime_i)
+    zero = _conditions(a, b, 0.0, p2, regime_i)[0]
+    joint = joint & ~decode
+    P2 = p2[None, :]
+    for k, rows in ((0, decode), (1, joint), (3, ~(decode | joint))):
+        if not rows.any():
+            continue
+        P1 = p1[rows][:, None]
+        rate = _lattice_term(k, a, b, P1, P2)
+        if k == 3 and not regime_i:
+            mid = _conditions(a, b, P1, P2, regime_i)[3]
+            np.copyto(rate, _lattice_term(2, a, b, P1, 0.0), where=mid)
+        out[rows] = rate
+    out[:, zero] = 0.0
+    np.maximum(out, 0.0, out=out)
+
+
+def _lattice_term(k: int, a: float, b: float, P1: np.ndarray, P2) -> np.ndarray:
+    x, y = _term_snrs(k, a, b, P1, P2)
+    return _cap(x, np.log2) - _cap(y, np.log2)
+
+
+def _check_grid_steps(n_steps: int) -> None:
+    """Raise DomainError unless `n_steps` is a valid lattice resolution."""
+    if not isinstance(n_steps, int) or n_steps < 2:
+        raise DomainError(f"n_steps must be an integer >= 2, got {n_steps!r}")
 
 
 def grid_search_allocation(
@@ -215,8 +261,7 @@ def grid_search_allocation(
     nonnegative).  Deterministic: ties are broken toward the smallest
     p1, then the smallest p2.
     """
-    if not isinstance(n_steps, int) or n_steps < 2:
-        raise DomainError(f"n_steps must be an integer >= 2, got {n_steps!r}")
+    _check_grid_steps(n_steps)
     a, b = gains.a, gains.b
     pb1, pb2 = budget.p1_max, budget.p2_max
 

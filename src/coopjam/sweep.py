@@ -43,13 +43,12 @@ import numpy as np
 from .achievable import (
     _NEG_TOL,
     _TERM_BRANCHES,
-    _TERM_SNRS,
     _ZERO_BRANCH,
     BranchLabel,
     Regime,
     _cap,
     _conditions,
-    _snrs,
+    _term_snrs,
     achievable_rate,
 )
 from .bound import (
@@ -217,9 +216,8 @@ def _rate_columns(a, b, p1, p2):
     joint = np.where(regime_i, joint, joint_ii)
     mid = np.where(regime_i, mid, mid_ii)
     k = np.select([decode, joint, mid], [0, 1, 2], 3)
-    snr = _snrs(a, b, p1, p2)
-    x = np.choose(k, [snr[i] for i, _ in _TERM_SNRS])
-    y = np.choose(k, [snr[j] for _, j in _TERM_SNRS])
+    xs, ys = zip(*(_term_snrs(t, a, b, p1, p2) for t in range(4)))
+    x, y = np.choose(k, xs), np.choose(k, ys)
     raw = _cap(x, _log2) - _cap(y, _log2)
     rate = np.where(zero | ~(raw > 0.0), 0.0, raw)
     code = np.where(zero, 0, np.where(regime_i, 1, 5) + k)

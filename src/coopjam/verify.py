@@ -9,6 +9,7 @@ acceptance test suite; only the sample counts differ.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,11 +45,13 @@ LINE_MARGIN = 0.05
 
 @dataclass
 class CheckResult:
-    """Outcome of one check: its name, sample count, and any violations."""
+    """Outcome of one check: its name, sample count, any violations, and
+    its wall time in seconds (set by `run_all`)."""
 
     name: str
     samples: int
     violations: list[str] = field(default_factory=list)
+    elapsed_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -230,13 +233,20 @@ def asymptotics_check(n_points: int, seed: int) -> CheckResult:
     return result
 
 
+def _timed(check, *args) -> CheckResult:
+    start = time.perf_counter()
+    result = check(*args)
+    result.elapsed_s = time.perf_counter() - start
+    return result
+
+
 def run_all(samples: int, seed: int, grid_steps: int = 300) -> list[CheckResult]:
     """Run every check, scaling the heavier ones down from `samples`."""
     return [
-        soundness_check(samples, seed),
-        power_oracle_check(max(10, samples // 20), seed + 1, grid_steps),
-        rho_star_check(max(50, samples // 4), seed + 2),
-        interferer_off_check(max(100, samples // 2), seed + 3),
-        continuity_check(max(60, samples // 10), seed + 4),
-        asymptotics_check(max(40, samples // 10), seed + 5),
+        _timed(soundness_check, samples, seed),
+        _timed(power_oracle_check, max(10, samples // 20), seed + 1, grid_steps),
+        _timed(rho_star_check, max(50, samples // 4), seed + 2),
+        _timed(interferer_off_check, max(100, samples // 2), seed + 3),
+        _timed(continuity_check, max(60, samples // 10), seed + 4),
+        _timed(asymptotics_check, max(40, samples // 10), seed + 5),
     ]

@@ -17,6 +17,7 @@ from coopjam.verify import (
     interferer_off_check,
     power_oracle_check,
     rho_star_check,
+    run_all,
     soundness_check,
 )
 
@@ -124,3 +125,9 @@ def test_criterion_8_sweep_byte_determinism(tmp_path):
         assert main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
         assert first.read_bytes().startswith(b"x,achievable_rate,upper_bound,p1,p2,branch\n")
+
+
+def test_run_all_times_every_check():
+    results = run_all(40, 7, 60)
+    assert len(results) == 6
+    assert all(r.elapsed_s > 0.0 for r in results)

@@ -228,3 +228,31 @@ def test_overflowing_square_is_a_domain_error(capsys):
     argv = ["bound", "--a", "1e200", "--b", "0.5", "--pbar1", "1e200", "--pbar2", "1e200"]
     assert main(argv) == 2
     assert "(rho + s)^2" in capsys.readouterr().err
+
+
+def test_overflowing_rho_root_is_a_domain_error(capsys):
+    # s and m both overflow, so rho* = 2s / (m + sqrt(delta)) is inf/inf;
+    # the error names them instead of a rho the user never gave.
+    from coopjam.cli import main
+
+    gains = ChannelGains(4.44e252, 2.92e-177)
+    with pytest.raises(DomainError, match="inf/inf: s = inf and m = inf"):
+        sato_upper_bound(gains, PowerBudget(3.47e210, 2.47e-199))
+    with pytest.raises(DomainError, match="inf/inf: s = inf and m = inf"):
+        rho_star(gains, PowerAllocation(3.47e210, 2.47e-199))
+    argv = ["bound", "--a", "4.44e252", "--b", "2.92e-177"]
+    assert main(argv + ["--pbar1", "3.47e210", "--pbar2", "2.47e-199"]) == 2
+    err = capsys.readouterr().err
+    assert "s = inf and m = inf overflow at a=4.44e+252" in err
+    assert "rho must lie" not in err
+
+
+def test_infinite_m_with_finite_s_still_answers():
+    # m overflows alone, so rho* = 0 and the bound is g(p1).
+    p1 = 2.859267070172949e-268
+    ev = sato_upper_bound(
+        ChannelGains(1.658167020909777e172, 8.922481437879276e173),
+        PowerBudget(p1, 3.7306426991850555e-79),
+    )
+    assert ev.rho_star.rho == 0.0
+    assert ev.final_bound.value == gauss_cap(p1)

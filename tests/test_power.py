@@ -234,3 +234,115 @@ def test_overflowing_p2_star_square_is_a_domain_error(capsys):
     argv = ["power", "--a", "1e200", "--b", "1e-300", "--pbar1", "1e5", "--pbar2", "1e300"]
     assert main(argv) == 2
     assert "(a - 1)^2" in capsys.readouterr().err
+
+
+def _whole_lattice_rate(a, b, p1, p2):
+    """Reference: every rate term on every cell, selected by nested np.where."""
+    P1 = np.asarray(p1, dtype=float)[:, None]
+    P2 = np.asarray(p2, dtype=float)[None, :]
+    if a >= 1.0:
+        beta1 = beta2 = 1.0
+    else:
+        beta1 = (1.0 + P1) / (1.0 + a * P1)
+        beta2 = a * (1.0 + P1) / (1.0 + a * P1 + (1.0 - a) * P2)
+
+    def cap(x):
+        return 0.5 * np.log2(1.0 + x)
+
+    eave = cap(a * P1 / (1.0 + P2))
+    v_decode = cap(P1) - eave
+    v_joint = cap(P1 + b * P2) - cap(a * P1 + P2)
+    v_mid = cap(P1) - cap(a * P1)
+    v_noise = cap(P1 / (1.0 + b * P2)) - eave
+    inner = np.where(b >= beta1, v_joint, np.where(b >= beta2, v_mid, v_noise))
+    rate = np.where(a >= 1.0 + P2, 0.0, np.where(b >= 1.0 + P1, v_decode, inner))
+    return np.maximum(rate, 0.0)
+
+
+def _reference_lattices(rng):
+    """(a, b, p1, p2) lattices over both regimes, the exact ties and extremes."""
+    for k in range(120):
+        pb1, pb2 = rng.uniform(0.1, 10.0, size=2)
+        p1 = np.linspace(0.0, pb1, int(rng.integers(2, 40)))
+        p2 = np.linspace(0.0, pb2, int(rng.integers(2, 40)))
+        a = [rng.uniform(0.05, 0.99), rng.uniform(1.0, 5.0), 1.0, 1.0 + rng.choice(p2)][k % 4]
+        b = [rng.uniform(0.05, 5.0), 1.0, 1.0 + rng.choice(p1), 1.0 / a][k // 4 % 4]
+        if k % 3 == 0:
+            p1, p2 = rng.permutation(p1), rng.permutation(p2)
+        yield a, b, p1, p2
+    for _ in range(40):
+        a, b = 10.0 ** rng.uniform(-300.0, 300.0, size=2)
+        p1 = np.sort(10.0 ** rng.uniform(-300.0, 300.0, size=25))
+        p2 = np.sort(10.0 ** rng.uniform(-300.0, 300.0, size=25))
+        yield a, b, np.append(0.0, p1), np.append(0.0, p2)
+    # Several row blocks, and empty power vectors.
+    yield 0.6, 0.9, np.linspace(0.0, 3.0, 301), np.linspace(0.0, 3.0, 301)
+    yield 2.0, 1.3, np.linspace(0.0, 3.0, 301), np.linspace(0.0, 3.0, 301)
+    yield 0.5, 1.5, np.empty(0), np.linspace(0.0, 2.0, 7)
+    yield 0.5, 1.5, np.linspace(0.0, 2.0, 7), np.empty(0)
+
+
+def test_rate_grid_bytes_equal_whole_lattice_reference():
+    # The row-partitioned lattice must give every cell the bits of the
+    # whole-lattice evaluation on this machine, NaN and zeros included.
+    rng = np.random.default_rng(53)
+    with np.errstate(all="ignore"):
+        for a, b, p1, p2 in _reference_lattices(rng):
+            got = _rate_grid(a, b, p1, p2)
+            want = _whole_lattice_rate(a, b, p1, p2)
+            assert got.shape == want.shape == (len(p1), len(p2))
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.tobytes(), want.tobytes()), (a, b)
+
+
+def test_rate_grid_matches_scalar_rate_in_every_row_class():
+    # Decode and joint tests hold per row, ZERO per column, and regime II's
+    # cancel-free test per cell; each class must appear in some lattice.
+    # ZERO needs a >= 1 + p2 and the cancel-free term a < 1, so each of
+    # those two classes exists in one regime only.
+    seen = set()
+    p1 = np.linspace(0.0, 4.0, 21)
+    p2 = np.linspace(0.0, 4.0, 21)
+    for a, b in ((0.5, 1.5), (0.5, 0.8), (2.0, 1.5), (2.0, 0.5)):
+        grid = _rate_grid(a, b, p1, p2)
+        labels = np.empty(grid.shape, dtype=object)
+        for i, x in enumerate(p1):
+            for j, y in enumerate(p2):
+                rate, label = achievable_rate(
+                    ChannelGains(a, b), PowerAllocation(float(x), float(y))
+                )
+                assert grid[i, j] == pytest.approx(rate.value, abs=1e-12)
+                labels[i, j] = str(label)
+        regime = "I" if a >= 1.0 else "II"
+        seen.update(f"{regime} zero column" for col in labels.T if set(col) == {"ZERO-1"})
+        for row in labels:
+            subs = {label.split("-")[1] for label in row if label != "ZERO-1"}
+            if subs == {"1"}:
+                seen.add(f"{regime} decode row")
+            elif subs == {"2"}:
+                seen.add(f"{regime} joint row")
+            elif regime == "II" and subs == {"3", "4"}:
+                seen.add("II mixed row")
+            elif subs == {"3"} and regime == "I":
+                seen.add("I noise row")
+    assert seen == {
+        "I zero column",
+        "I decode row",
+        "I joint row",
+        "I noise row",
+        "II decode row",
+        "II joint row",
+        "II mixed row",
+    }
+
+
+def test_grid_steps_below_two_exit_2_before_any_output(capsys):
+    point = ["--a", "2", "--b", "0.5", "--pbar1", "2", "--pbar2", "2"]
+    for argv in (
+        ["power", *point, "--check-grid", "--grid-steps", "1"],
+        ["verify", "--grid-steps", "1"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_steps must be an integer >= 2, got 1" in captured.err
