@@ -18,6 +18,11 @@ explicit flag wins.  The switches `check-grid` and `symmetric` take
 true/false, yes/no, on/off or 1/0.
 Exit codes: 0 success, 1 verification/invariant failure, 2 usage or
 domain error.
+
+`rate`, `bound` and `power` answer by the closed forms and never import
+NumPy.  `sweep`, `fig2/3/4`, `power --check-grid`, `power` within 1e-9
+of the degraded line a*b = 1 (where it falls back to the lattice oracle)
+and `verify` import it when they first build an array.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .model import (
 )
 from .power import _check_grid_steps, grid_search_allocation, optimal_allocation
 from .sweep import PowerMode, SweepSpec, render_csv, run_sweep
-from .verify import run_all
+from .verify import _check_run_args, run_all
 
 __all__ = ["main"]
 
@@ -194,9 +199,7 @@ def _cmd_fig(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise DomainError(f"samples must be >= 1, got {args.samples}")
-    _check_grid_steps(args.grid_steps)
+    _check_run_args(args.samples, args.seed, args.grid_steps)
     print(f"seed = {args.seed}")
     results = run_all(args.samples, args.seed, args.grid_steps)
     failed = False

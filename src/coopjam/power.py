@@ -24,6 +24,10 @@ the bits of the scalar terms evaluated with `np.log2`: the same
 expression on the same operands, and `np.log2` always on a fresh
 contiguous array, since numpy may take another inner loop for a strided
 one.
+
+NumPy is imported inside the lattice functions, on their first call, so
+the closed forms (`optimal_allocation` away from a*b = 1,
+`critical_powers`, the asymptotic rates) run without loading it.
 """
 
 from __future__ import annotations
@@ -31,8 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .achievable import BranchLabel, _cap, _conditions, _term_snrs, achievable_rate
 from .model import (
@@ -46,6 +49,9 @@ from .model import (
     _square,
     pos_part,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AllocationResult",
@@ -202,6 +208,8 @@ def _rate_grid(a: float, b: float, p1: np.ndarray, p2: np.ndarray) -> np.ndarray
     so the bits match that evaluation.  Returns a (len(p1), len(p2))
     array.
     """
+    import numpy as np
+
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     rates = np.empty((len(p1), len(p2)))
@@ -220,6 +228,8 @@ def _rate_block(a: float, b: float, p1: np.ndarray, p2: np.ndarray, out: np.ndar
     the row's cancel-free value instead.  ZERO columns (a >= 1 + p2)
     become 0 last, then negative rates are clipped, as in the scalar rate.
     """
+    import numpy as np
+
     regime_i = a >= 1.0
     # decode and joint read p1 alone and zero reads p2 alone, so each is
     # tested on its own vector; the other power, 0.0, goes unread.
@@ -241,6 +251,8 @@ def _rate_block(a: float, b: float, p1: np.ndarray, p2: np.ndarray, out: np.ndar
 
 
 def _lattice_term(k: int, a: float, b: float, P1: np.ndarray, P2) -> np.ndarray:
+    import numpy as np
+
     x, y = _term_snrs(k, a, b, P1, P2)
     return _cap(x, np.log2) - _cap(y, np.log2)
 
@@ -261,6 +273,8 @@ def grid_search_allocation(
     nonnegative).  Deterministic: ties are broken toward the smallest
     p1, then the smallest p2.
     """
+    import numpy as np
+
     _check_grid_steps(n_steps)
     a, b = gains.a, gains.b
     pb1, pb2 = budget.p1_max, budget.p2_max

@@ -5,19 +5,29 @@ violations it found (as human-readable strings), and never raises on a
 violation, so a runner can report everything at once.  The same
 functions back both the command-line `verify` subcommand and the
 acceptance test suite; only the sample counts differ.
+
+The generators are NumPy's, imported by `_rng` when a check first draws,
+so importing this module (as `coopjam.cli` does) does not load NumPy.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .achievable import Thresholds, achievable_rate, wiretap_capacity
 from .bound import rho_min_oracle, rho_star, sato_f, sato_upper_bound
-from .model import ChannelGains, PowerAllocation, PowerBudget
-from .power import asymptotic_rate, grid_search_allocation, optimal_allocation
+from .model import ChannelGains, DomainError, PowerAllocation, PowerBudget
+from .power import (
+    _check_grid_steps,
+    asymptotic_rate,
+    grid_search_allocation,
+    optimal_allocation,
+)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CheckResult",
@@ -58,6 +68,12 @@ class CheckResult:
         return not self.violations
 
 
+def _rng(seed: int) -> np.random.Generator:
+    import numpy as np
+
+    return np.random.default_rng(seed)
+
+
 def _random_gains(rng: np.random.Generator) -> ChannelGains:
     return ChannelGains(rng.uniform(0.05, 5.0), rng.uniform(0.05, 5.0))
 
@@ -68,7 +84,7 @@ def _random_budget(rng: np.random.Generator) -> PowerBudget:
 
 def soundness_check(n_samples: int, seed: int) -> CheckResult:
     """Every achievable rate at a feasible allocation stays below the bound."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     result = CheckResult("soundness", n_samples)
     for _ in range(n_samples):
         gains = _random_gains(rng)
@@ -93,7 +109,7 @@ def power_oracle_check(n_configs: int, seed: int, n_steps: int = 300) -> CheckRe
     its own resolution, and must never beat it materially: a grid win
     beyond tolerance would mean the case analysis is not optimal.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     result = CheckResult("power-oracle", n_configs)
     for _ in range(n_configs):
         gains = _random_gains(rng)
@@ -114,7 +130,7 @@ def power_oracle_check(n_configs: int, seed: int, n_steps: int = 300) -> CheckRe
 
 def rho_star_check(n_points: int, seed: int) -> CheckResult:
     """Closed-form correlation minimizer matches the golden-section oracle."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     result = CheckResult("rho-star", n_points)
     h = 1e-6
     for _ in range(n_points):
@@ -144,7 +160,7 @@ def rho_star_check(n_points: int, seed: int) -> CheckResult:
 
 def interferer_off_check(n_points: int, seed: int) -> CheckResult:
     """With the jammer silent, every branch collapses to the wiretap baseline."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     result = CheckResult("interferer-off", n_points)
     for _ in range(n_points):
         a = rng.uniform(0.0, 5.0)
@@ -166,7 +182,7 @@ def continuity_check(n_points: int, seed: int) -> CheckResult:
     beta1, b = beta2, a = 1, a = 1+P2), probing each sampled boundary
     from both sides.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     result = CheckResult("continuity", n_points)
     eps = CONTINUITY_PROBE
 
@@ -215,7 +231,7 @@ def asymptotics_check(n_points: int, seed: int) -> CheckResult:
     Samples keep |b - 1| and |ab - 1| at least 0.05, away from the lines
     b = 1 and ab = 1 where the limit function switches branch.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     result = CheckResult("asymptotics", n_points)
     budget = PowerBudget(ASYMPTOTIC_BUDGET, ASYMPTOTIC_BUDGET)
     for _ in range(n_points):
@@ -240,8 +256,21 @@ def _timed(check, *args) -> CheckResult:
     return result
 
 
+def _check_run_args(samples: int, seed: int, grid_steps: int) -> None:
+    """Raise DomainError unless `run_all` accepts these arguments."""
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    _check_grid_steps(grid_steps)
+
+
 def run_all(samples: int, seed: int, grid_steps: int = 300) -> list[CheckResult]:
-    """Run every check, scaling the heavier ones down from `samples`."""
+    """Run every check, scaling the heavier ones down from `samples`.
+
+    The arguments are checked before any check runs.
+    """
+    _check_run_args(samples, seed, grid_steps)
     return [
         _timed(soundness_check, samples, seed),
         _timed(power_oracle_check, max(10, samples // 20), seed + 1, grid_steps),

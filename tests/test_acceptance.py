@@ -9,7 +9,10 @@ import math
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from coopjam.cli import main
+from coopjam.model import DomainError
 from coopjam.sweep import PowerBudget, PowerMode, SweepSpec, run_sweep
 from coopjam.verify import (
     asymptotics_check,
@@ -131,3 +134,17 @@ def test_run_all_times_every_check():
     results = run_all(40, 7, 60)
     assert len(results) == 6
     assert all(r.elapsed_s > 0.0 for r in results)
+
+
+def test_run_all_checks_its_arguments_before_any_check(monkeypatch):
+    def no_check(*args):
+        raise AssertionError("a check ran before the arguments were checked")
+
+    monkeypatch.setattr("coopjam.verify.soundness_check", no_check)
+    for args, message in (
+        ((2000, 0, 1), "n_steps must be an integer >= 2, got 1"),
+        ((10, -1), "seed must be >= 0, got -1"),
+        ((0, 0), "samples must be >= 1, got 0"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            run_all(*args)

@@ -255,3 +255,17 @@ def test_config_file_bad_entry_exits_2(tmp_path, capsys, command, text, named):
     assert _exit_code([command, "--config", str(cfg)]) == 2
     last_line = capsys.readouterr().err.strip().splitlines()[-1]
     assert re.search(rf"\b{named}\b", last_line)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--samples", "10", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--samples", "-5"], "samples must be >= 1, got -5"),
+    ],
+)
+def test_verify_bad_arguments_exit_2_before_any_output(flags, message, capsys):
+    assert main(["verify", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
