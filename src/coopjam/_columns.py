@@ -39,6 +39,7 @@ from .achievable import (
     _term_snrs,
 )
 from .bound import (
+    SOUNDNESS_TOL,
     _DEGENERATE_S,
     _DELTA_TOL,
     _RHO_EDGE,
@@ -53,7 +54,7 @@ from .power import (
     _allocation_cases,
     _p2_star_terms,
 )
-from .sweep import _SOUNDNESS_TOL, PowerMode, SweepSpec, _gain_pair
+from .sweep import PowerMode, SweepSpec, _gain_pair
 
 
 # Column stand-ins for the scalar helpers the formulas take as arguments.
@@ -184,7 +185,7 @@ def _block_columns(spec: SweepSpec, x: np.ndarray) -> tuple:
             p1, p2, replay = pb1, pb2, False
         rate, code, bad_rate = _rate_columns(a, b, p1, p2)
         bound, bad_bound = _bound_columns(a, b, pb1, pb2)
-        replay = replay | bad_rate | bad_bound | (rate > bound + _SOUNDNESS_TOL)
+        replay = replay | bad_rate | bad_bound | (rate > bound + SOUNDNESS_TOL)
     # Placeholders in the rows to replay; RateValue would reject some values.
     rate = np.where(replay, 0.0, rate)
     bound = np.where(replay, 0.0, bound)

@@ -30,6 +30,7 @@ from .model import (
     PowerAllocation,
     PowerBudget,
     RateValue,
+    _real,
     _square,
     gauss_cap,
     pos_part,
@@ -55,7 +56,20 @@ _DEGENERATE_S = 1e-12
 # delta is a product of nonnegative sums; below -this it was misevaluated.
 _DELTA_TOL = 1e-12
 
+# The golden-section oracle stops once its bracket is this narrow.
+_ORACLE_TOL = 1e-10
+# The rounding an achievable rate may exceed the bound by (sweep, verify).
+SOUNDNESS_TOL = 1e-9
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _check_rho(rho: float) -> float:
+    """`rho` as a float strictly inside (-1, 1), or a DomainError naming rho."""
+    r = _real("rho", rho)
+    if not -1.0 < r < 1.0:
+        raise DomainError(f"rho must lie strictly inside (-1, 1), got {r!r}")
+    return r
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,13 +79,7 @@ class NoiseCorrelation:
     rho: float
 
     def __post_init__(self) -> None:
-        try:
-            r = float(self.rho)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"rho must be a real number, got {self.rho!r}") from exc
-        if not math.isfinite(r) or not -1.0 < r < 1.0:
-            raise DomainError(f"rho must lie strictly inside (-1, 1), got {r!r}")
-        object.__setattr__(self, "rho", r)
+        object.__setattr__(self, "rho", _check_rho(self.rho))
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,24 +97,16 @@ class SatoEvaluation:
     discriminant: float
 
 
-def _rho_value(rho: float | NoiseCorrelation) -> float:
-    if isinstance(rho, NoiseCorrelation):
-        return rho.rho
-    try:
-        return float(rho)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"rho must be a real number, got {rho!r}") from exc
-
-
 def sato_f(
     gains: ChannelGains, alloc: PowerAllocation, rho: float | NoiseCorrelation
 ) -> float:
     """The genie-aided conditional mutual information at one (powers, rho) point."""
-    r = _rho_value(rho)
-    if not math.isfinite(r) or abs(r) >= 1.0:
-        raise DomainError(f"rho must lie strictly inside (-1, 1), got {r!r}")
-    a, b = gains.a, gains.b
-    p1, p2 = alloc.p1, alloc.p2
+    r = rho.rho if isinstance(rho, NoiseCorrelation) else _check_rho(rho)
+    return _f_value(gains.a, gains.b, alloc.p1, alloc.p2, r)
+
+
+def _f_value(a: float, b: float, p1: float, p2: float, r: float) -> float:
+    """f at a checked rho; a nonpositive log argument is an InvariantViolation."""
     num, arg = _f_log_arg(a, b, p1, p2, r)
     if num <= 0.0:
         # Analytically impossible for |rho| < 1; report, never clamp.
@@ -169,23 +169,24 @@ def _rho_root(s, m, delta, sqrt=math.sqrt):
     return 2.0 * s / (m + sqrt(delta))
 
 
-def _unclamped_rho(
-    s: float, m: float, delta: float, a: float, b: float, p1: float, p2: float
-) -> float:
-    """The minimizer before clamping; 0 when s vanishes.
+def _minimizer(a: float, b: float, p1: float, p2: float) -> tuple[float, ...]:
+    """The minimizer of f before clamping, and the `_star_parts` it came from.
 
+    Returns (rho, s, m, d_lo, d_hi, delta); rho is 0 when s vanishes.
+    `rho_min_oracle` re-derives rho to within its bracket width 1e-10.
     Raises DomainError when the root is NaN: s and m both overflow and
     the quotient is inf/inf.
     """
+    s, m, d_lo, d_hi, delta = _star_parts(a, b, p1, p2)
     if s <= _DEGENERATE_S:
-        return 0.0
+        return 0.0, s, m, d_lo, d_hi, delta
     rho = _rho_root(s, m, delta)
     if math.isnan(rho):
         raise DomainError(
             f"rho* = 2s / (m + sqrt(delta)) is inf/inf: s = {s} and m = {m} "
             f"overflow at a={a}, b={b}, p1={p1}, p2={p2}"
         )
-    return rho
+    return rho, s, m, d_lo, d_hi, delta
 
 
 def rho_star(gains: ChannelGains, alloc: PowerAllocation) -> NoiseCorrelation:
@@ -198,18 +199,16 @@ def rho_star(gains: ChannelGains, alloc: PowerAllocation) -> NoiseCorrelation:
     cross-amplitudes zero f's minimum sits at rho = 0, which is returned
     directly.
     """
-    a, b, p1, p2 = gains.a, gains.b, alloc.p1, alloc.p2
-    s, m, _, _, delta = _star_parts(a, b, p1, p2)
-    return NoiseCorrelation(min(_unclamped_rho(s, m, delta, a, b, p1, p2), _RHO_CLAMP))
+    rho = _minimizer(gains.a, gains.b, alloc.p1, alloc.p2)[0]
+    return NoiseCorrelation(min(rho, _RHO_CLAMP))
 
 
-def rho_min_oracle(
-    gains: ChannelGains, alloc: PowerAllocation, *, tol: float = 1e-10
-) -> NoiseCorrelation:
+def rho_min_oracle(gains: ChannelGains, alloc: PowerAllocation) -> NoiseCorrelation:
     """Numeric minimizer of f over rho, independent of the closed form.
 
-    Golden-section search over [-1 + 1e-9, 1 - 1e-9]; convexity of f in
-    rho guarantees convergence.  When the two probes tie exactly the
+    Golden-section search over [-1 + 1e-9, 1 - 1e-9] until the bracket
+    is 1e-10 wide, returning its midpoint; convexity of f in rho
+    guarantees convergence.  When the two probes tie exactly the
     minimum lies between them, so both ends contract; a constant profile
     therefore converges to the midpoint 0.
     """
@@ -221,7 +220,7 @@ def rho_min_oracle(
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    while hi - lo > _ORACLE_TOL:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _INV_PHI * (hi - lo)
@@ -281,13 +280,11 @@ def sato_upper_bound(gains: ChannelGains, budget: PowerBudget) -> SatoEvaluation
     """
     a, b = gains.a, gains.b
     p1, p2 = budget.p1_max, budget.p2_max
-    full = PowerAllocation(p1, p2)
-    s, m, d_lo, d_hi, delta = _star_parts(a, b, p1, p2)
-    raw = _unclamped_rho(s, m, delta, a, b, p1, p2)
+    raw, s, m, d_lo, d_hi, delta = _minimizer(a, b, p1, p2)
     if raw >= 1.0 - _RHO_EDGE:
         f_at = _f_at_star_cancelled(a, b, p1, p2, s, m, d_lo, d_hi, raw)
     else:
-        f_at = sato_f(gains, full, raw)
+        f_at = _f_value(a, b, p1, p2, raw)
     final = pos_part(min(f_at, gauss_cap(p1)))
     rho = NoiseCorrelation(min(raw, _RHO_CLAMP))
     return SatoEvaluation(rho, f_at, RateValue(final), delta)

@@ -17,7 +17,9 @@ argparse casts and checks it, an unknown key is a usage error, and an
 explicit flag wins.  The switches `check-grid` and `symmetric` take
 true/false, yes/no, on/off or 1/0.
 Exit codes: 0 success, 1 verification/invariant failure, 2 usage or
-domain error.
+domain error.  A command computes its whole answer before it prints, so
+one that fails with exit 1 or 2 leaves stdout empty, except `verify`,
+which prints every check's PASS/FAIL line before exiting 1 on a FAIL.
 
 `rate`, `bound` and `power` answer by the closed forms and never import
 NumPy.  `sweep`, `fig2/3/4`, `power --check-grid`, `power` within 1e-9
@@ -41,9 +43,9 @@ from .model import (
     PowerBudget,
     gauss_cap,
 )
-from .power import _check_grid_steps, grid_search_allocation, optimal_allocation
+from .power import _GRID_STEPS, grid_search_allocation, optimal_allocation
 from .sweep import PowerMode, SweepSpec, render_csv, run_sweep
-from .verify import _check_run_args, run_all
+from .verify import run_all
 
 __all__ = ["main"]
 
@@ -64,7 +66,6 @@ _FIG_PRESETS = {
 _BOOLEAN_KEYS = ("check-grid", "symmetric")
 _DEFAULT_STEPS = 400
 _DEFAULT_SAMPLES = 2000
-_DEFAULT_GRID_STEPS = 300
 
 
 def _parse_bool(key: str, text: str) -> bool:
@@ -122,15 +123,14 @@ def _cmd_power(args: argparse.Namespace) -> int:
     _require(args, "a", "b", "pbar1", "pbar2")
     gains = ChannelGains(args.a, args.b)
     budget = PowerBudget(args.pbar1, args.pbar2)
-    if args.check_grid:
-        _check_grid_steps(args.grid_steps)
     result = optimal_allocation(gains, budget)
+    if args.check_grid:
+        grid = grid_search_allocation(gains, budget, args.grid_steps)
     print(f"p1 = {result.alloc.p1:.12g}  p2 = {result.alloc.p2:.12g}")
     print(f"secrecy_rate = {result.rate.value:.12g} bit/channel use")
     print(f"branch = {result.branch}")
     print(f"source = {result.source.value}")
     if args.check_grid:
-        grid = grid_search_allocation(gains, budget, args.grid_steps)
         diff = result.rate.value - grid.rate.value
         print(
             f"grid_rate = {grid.rate.value:.12g} at p1 = {grid.alloc.p1:.12g}, "
@@ -177,6 +177,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_fig(args: argparse.Namespace) -> int:
     curves = _FIG_PRESETS[args.command][1]
+    outputs = []
     for tag, param, fixed_gain, symmetric in curves:
         spec = SweepSpec(
             param=param,
@@ -192,16 +193,17 @@ def _cmd_fig(args: argparse.Namespace) -> int:
         if target is not None and len(curves) > 1:
             path = Path(target)
             target = str(path.with_name(f"{path.stem}_{tag}{path.suffix or '.csv'}"))
-        _emit_csv(render_csv(run_sweep(spec)), target)
+        outputs.append((render_csv(run_sweep(spec)), target))
+    for text, target in outputs:
+        _emit_csv(text, target)
         if target is not None:
             print(f"wrote {target}", file=sys.stderr)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _check_run_args(args.samples, args.seed, args.grid_steps)
-    print(f"seed = {args.seed}")
     results = run_all(args.samples, args.seed, args.grid_steps)
+    print(f"seed = {args.seed}")
     failed = False
     for res in results:
         status = "PASS" if res.ok else "FAIL"
@@ -258,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the lattice oracle and report agreement",
     )
-    p_power.add_argument("--grid-steps", type=int, default=_DEFAULT_GRID_STEPS)
+    p_power.add_argument("--grid-steps", type=int, default=_GRID_STEPS)
     _add_config(p_power)
     p_power.set_defaults(handler=_cmd_power)
 
@@ -298,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument("--samples", type=int, default=_DEFAULT_SAMPLES)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--grid-steps", type=int, default=_DEFAULT_GRID_STEPS)
+    p_verify.add_argument("--grid-steps", type=int, default=_GRID_STEPS)
     _add_config(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 

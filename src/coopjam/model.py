@@ -36,11 +36,16 @@ class InvariantViolation(RuntimeError):
     """
 
 
-def _require_finite(name: str, value: float, *, minimum: float | None = None) -> float:
+def _real(name: str, value: float) -> float:
+    """`value` as a float, or a DomainError that names the quantity `name`."""
     try:
-        x = float(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be a real number, got {value!r}") from exc
+
+
+def _require_finite(name: str, value: float, *, minimum: float | None = None) -> float:
+    x = _real(name, value)
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x!r}")
     if minimum is not None and x < minimum:
@@ -106,10 +111,7 @@ class RateValue:
     value: float
 
     def __post_init__(self) -> None:
-        try:
-            x = float(self.value)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"rate must be a real number, got {self.value!r}") from exc
+        x = _real("rate", self.value)
         if math.isnan(x):
             raise DomainError("rate must not be NaN")
         if x < 0.0:

@@ -73,6 +73,9 @@ _DEGRADED_TOL = 1e-9
 _DEGRADED_EXACT_TOL = 1e-12
 # A p2_star radicand above -this is rounding noise around zero.
 _RADICAND_TOL = 1e-12
+# The lattice resolution of the grid fallback, and the default of the
+# lattice checks in `verify` and `coopjam power --check-grid`.
+_GRID_STEPS = 300
 
 
 class AllocationSource(Enum):
@@ -162,9 +165,7 @@ def _allocation_cases(a, b, pb1, pb2, regime_i, minimum=min):
     )
 
 
-def optimal_allocation(
-    gains: ChannelGains, budget: PowerBudget, *, fallback_grid_steps: int = 300
-) -> AllocationResult:
+def optimal_allocation(gains: ChannelGains, budget: PowerBudget) -> AllocationResult:
     """Rate-maximizing powers within `budget`, by the closed-form cases.
 
     Near the degraded line a*b = 1.0 (within 1e-9), the branches that
@@ -179,7 +180,7 @@ def optimal_allocation(
     p1, p2 = p1s[k], p2s[k]
     if p2 is None:
         if 1.0 - a * b < _DEGRADED_TOL:
-            return grid_search_allocation(gains, budget, fallback_grid_steps)
+            return grid_search_allocation(gains, budget, _GRID_STEPS)
         p2_star = critical_powers(gains, budget).p2_star
         if not p2_star >= 0.0:
             raise InvariantViolation(f"p2_star {p2_star} < 0 at {gains}, {budget}")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .achievable import BranchLabel, achievable_rate
-from .bound import sato_upper_bound
+from .bound import SOUNDNESS_TOL, sato_upper_bound
 from .model import (
     ChannelGains,
     DomainError,
@@ -51,8 +51,6 @@ __all__ = [
     "render_csv",
     "run_sweep",
 ]
-
-_SOUNDNESS_TOL = 1e-9
 
 CSV_HEADER = "x,achievable_rate,upper_bound,p1,p2,branch"
 
@@ -132,7 +130,7 @@ def _scalar_row(spec: SweepSpec, x: float) -> SweepRow:
         alloc = PowerAllocation(spec.budget.p1_max, spec.budget.p2_max)
         rate, branch = achievable_rate(gains, alloc)
     upper = sato_upper_bound(gains, spec.budget).final_bound
-    if rate.value > upper.value + _SOUNDNESS_TOL:
+    if rate.value > upper.value + SOUNDNESS_TOL:
         raise InvariantViolation(
             f"achievable {rate.value} exceeds bound {upper.value} at x={x}"
         )

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .achievable import Thresholds, achievable_rate, wiretap_capacity
-from .bound import rho_min_oracle, rho_star, sato_f, sato_upper_bound
+from .bound import SOUNDNESS_TOL, rho_min_oracle, rho_star, sato_f, sato_upper_bound
 from .model import ChannelGains, DomainError, PowerAllocation, PowerBudget
 from .power import (
+    _GRID_STEPS,
     _check_grid_steps,
     asymptotic_rate,
     grid_search_allocation,
@@ -40,7 +41,6 @@ __all__ = [
     "soundness_check",
 ]
 
-SOUNDNESS_TOL = 1e-9
 ORACLE_RATE_TOL = 2e-3
 GRID_EXCESS_TOL = 1e-9
 RHO_F_TOL = 1e-8
@@ -101,7 +101,7 @@ def soundness_check(n_samples: int, seed: int) -> CheckResult:
     return result
 
 
-def power_oracle_check(n_configs: int, seed: int, n_steps: int = 300) -> CheckResult:
+def power_oracle_check(n_configs: int, seed: int, n_steps: int = _GRID_STEPS) -> CheckResult:
     """Closed-form power control agrees with the augmented-lattice maximum.
 
     The lattice contains the closed-form operating point by
@@ -256,21 +256,18 @@ def _timed(check, *args) -> CheckResult:
     return result
 
 
-def _check_run_args(samples: int, seed: int, grid_steps: int) -> None:
-    """Raise DomainError unless `run_all` accepts these arguments."""
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    _check_grid_steps(grid_steps)
-
-
-def run_all(samples: int, seed: int, grid_steps: int = 300) -> list[CheckResult]:
+def run_all(samples: int, seed: int, grid_steps: int = _GRID_STEPS) -> list[CheckResult]:
     """Run every check, scaling the heavier ones down from `samples`.
 
     The arguments are checked before any check runs.
     """
-    _check_run_args(samples, seed, grid_steps)
+    for name, value, minimum in (("samples", samples, 1), ("seed", seed, 0)):
+        # bool is an int subclass, but True is not a count.
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    _check_grid_steps(grid_steps)
     return [
         _timed(soundness_check, samples, seed),
         _timed(power_oracle_check, max(10, samples // 20), seed + 1, grid_steps),

@@ -145,6 +145,9 @@ def test_run_all_checks_its_arguments_before_any_check(monkeypatch):
         ((2000, 0, 1), "n_steps must be an integer >= 2, got 1"),
         ((10, -1), "seed must be >= 0, got -1"),
         ((0, 0), "samples must be >= 1, got 0"),
+        ((2.5, 0), "samples must be an integer, got 2.5"),
+        ((10, 1.5), "seed must be an integer, got 1.5"),
+        ((True, 0), "samples must be an integer, got True"),
     ):
         with pytest.raises(DomainError, match=message):
             run_all(*args)

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from coopjam.cli import main
+from coopjam.model import InvariantViolation
 
 
 def test_rate_zero_regime(capsys):
@@ -269,3 +270,24 @@ def test_verify_bad_arguments_exit_2_before_any_output(flags, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "patched, argv",
+    [
+        (
+            "grid_search_allocation",
+            ["power", "--a", "2", "--b", "1.5", "--pbar1", "2", "--pbar2", "2", "--check-grid"],
+        ),
+        ("run_all", ["verify", "--samples", "10"]),
+    ],
+)
+def test_failing_command_prints_nothing(monkeypatch, capsys, patched, argv):
+    def fail(*args):
+        raise InvariantViolation("injected")
+
+    monkeypatch.setattr(f"coopjam.cli.{patched}", fail)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invariant violation: injected" in captured.err

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopjam.bound import NoiseCorrelation, sato_f
 from coopjam.model import (
     ChannelGains,
     DomainError,
@@ -96,3 +97,26 @@ def test_types_are_immutable():
     gains = ChannelGains(1.0, 1.0)
     with pytest.raises(AttributeError):
         gains.a = 2.0
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: ChannelGains("x", 1), "gain a"),
+        (lambda: PowerBudget(None, 1), "p1_max"),
+        (lambda: PowerAllocation(1, "y"), "p2"),
+        (lambda: RateValue("z"), "rate"),
+        (lambda: NoiseCorrelation("x"), "rho"),
+        (lambda: NoiseCorrelation(1.0), "rho"),
+        (lambda: NoiseCorrelation(math.nan), "rho"),
+        (lambda: NoiseCorrelation(NoiseCorrelation(0.25)), "rho"),
+        (lambda: sato_f(ChannelGains(1, 1), PowerAllocation(1, 1), "x"), "rho"),
+    ],
+    ids=[
+        "gains", "budget", "allocation", "rate", "rho-text", "rho-one", "rho-nan",
+        "rho-nested", "sato_f-rho",
+    ],
+)
+def test_value_checks_name_the_quantity(build, named):
+    with pytest.raises(DomainError, match=rf"^{named} must "):
+        build()
