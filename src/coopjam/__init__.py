@@ -9,84 +9,15 @@ genie-aided upper bound on the secrecy capacity, cross-validating every
 closed form against an independent numerical oracle.
 """
 
-from .achievable import (
-    BranchLabel,
-    Regime,
-    Thresholds,
-    achievable_rate,
-    wiretap_capacity,
-)
-from .bound import (
-    NoiseCorrelation,
-    SatoEvaluation,
-    rho_min_oracle,
-    rho_star,
-    sato_f,
-    sato_upper_bound,
-)
-from .model import (
-    ChannelGains,
-    DomainError,
-    InvariantViolation,
-    PowerAllocation,
-    PowerBudget,
-    RateValue,
-    gauss_cap,
-    pos_part,
-)
-from .power import (
-    AllocationResult,
-    AllocationSource,
-    CriticalPowers,
-    asymptotic_rate,
-    critical_powers,
-    grid_search_allocation,
-    optimal_allocation,
-    wiretap_asymptotic_rate,
-)
-from .sweep import (
-    CSV_HEADER,
-    PowerMode,
-    SweepRow,
-    SweepSpec,
-    render_csv,
-    run_sweep,
-)
+from . import achievable, bound, model, power, sweep
+from .achievable import *
+from .bound import *
+from .model import *
+from .power import *
+from .sweep import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllocationResult",
-    "AllocationSource",
-    "BranchLabel",
-    "CSV_HEADER",
-    "ChannelGains",
-    "CriticalPowers",
-    "DomainError",
-    "InvariantViolation",
-    "NoiseCorrelation",
-    "PowerAllocation",
-    "PowerBudget",
-    "PowerMode",
-    "RateValue",
-    "Regime",
-    "SatoEvaluation",
-    "SweepRow",
-    "SweepSpec",
-    "Thresholds",
-    "achievable_rate",
-    "asymptotic_rate",
-    "critical_powers",
-    "gauss_cap",
-    "grid_search_allocation",
-    "optimal_allocation",
-    "pos_part",
-    "render_csv",
-    "rho_min_oracle",
-    "rho_star",
-    "run_sweep",
-    "sato_f",
-    "sato_upper_bound",
-    "wiretap_asymptotic_rate",
-    "wiretap_capacity",
-]
+__all__ = sorted(
+    {*achievable.__all__, *bound.__all__, *model.__all__, *power.__all__, *sweep.__all__}
+)

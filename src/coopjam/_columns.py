@@ -17,6 +17,13 @@ every log2 and square goes through libm (`math.log2`, `math.pow`) one
 element at a time, because NumPy's log2 and x ** 2 round differently
 from libm in about 0.1% of inputs.
 
+The columns restate no rule of the scalar path: the interval tests
+and their threshold clamp (`achievable._conditions`), the branch-label
+table (`achievable._LABELS`), the misselection test
+(`achievable._misselected`) and the p2_star radicand test
+(`power._p2_star_terms`) each have one owner, called here with column
+stand-ins for `min`, `max`, `sqrt`, `log2` and the square.
+
 Each block also names the rows the columns cannot vouch for; `sweep`
 replays those through the scalar functions.
 """
@@ -29,15 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .achievable import (
-    _NEG_TOL,
-    _TERM_BRANCHES,
-    _ZERO_BRANCH,
-    Regime,
-    _cap,
-    _conditions,
-    _term_snrs,
-)
+from .achievable import _LABELS, _cap, _conditions, _misselected, _term_snrs
 from .bound import (
     SOUNDNESS_TOL,
     _DEGENERATE_S,
@@ -48,12 +47,7 @@ from .bound import (
     _star_terms,
 )
 from .model import gauss_cap
-from .power import (
-    _DEGRADED_TOL,
-    _RADICAND_TOL,
-    _allocation_cases,
-    _p2_star_terms,
-)
+from .power import _DEGRADED_TOL, _allocation_cases, _p2_star_terms
 from .sweep import PowerMode, SweepSpec, _gain_pair
 
 
@@ -91,10 +85,6 @@ def _square(x, name=None):
     return _each(math.pow, np.where(np.abs(v) < _SQUARE_LIMIT, v, np.nan), 2.0)
 
 
-# Branch labels by column code: 0 is ZERO-1, then four rate terms per regime.
-_LABELS = (_ZERO_BRANCH, *_TERM_BRANCHES[Regime.REGIME_I], *_TERM_BRANCHES[Regime.REGIME_II])
-
-
 def _allocation_columns(a, b, pb1, pb2):
     """p1, p2 of `optimal_allocation` per row, and the rows it cannot vouch for."""
     tests, p1s, p2s = [], [], []
@@ -103,8 +93,8 @@ def _allocation_columns(a, b, pb1, pb2):
         tests += [in_regime & test for test in t]
         p1s += p1
         p2s += p2
-    radicand, root = _p2_star_terms(a, b, pb1, np.sqrt, _square, _maximum)
-    p2_star = np.where(b == 0.0, np.inf, np.where(radicand >= -_RADICAND_TOL, root, np.nan))
+    real, root = _p2_star_terms(a, b, pb1, np.sqrt, _square, _maximum)
+    p2_star = np.where(b == 0.0, np.inf, np.where(real, root, np.nan))
     case = np.select(tests, range(len(tests)))
     jam = np.choose(case, [p2 is None for p2 in p2s])
     p1 = np.choose(case, p1s)
@@ -117,18 +107,14 @@ def _allocation_columns(a, b, pb1, pb2):
 
 def _rate_columns(a, b, p1, p2):
     """The rate and branch code of `achievable_rate` per row, and rows to replay."""
-    regime_i = a >= 1.0
-    zero, decode, joint, mid = _conditions(a, b, p1, p2, True)
-    _, _, joint_ii, mid_ii = _conditions(a, b, p1, p2, False)
-    joint = np.where(regime_i, joint, joint_ii)
-    mid = np.where(regime_i, mid, mid_ii)
+    zero, decode, joint, mid = _conditions(a, b, p1, p2, _minimum)
     k = np.select([decode, joint, mid], [0, 1, 2], 3)
     xs, ys = zip(*(_term_snrs(t, a, b, p1, p2) for t in range(4)))
     x, y = np.choose(k, xs), np.choose(k, ys)
     raw = _cap(x, _log2) - _cap(y, _log2)
     rate = np.where(zero | ~(raw > 0.0), 0.0, raw)
-    code = np.where(zero, 0, np.where(regime_i, 1, 5) + k)
-    bad = ~np.isfinite(raw) | ((raw < _NEG_TOL) & (~regime_i | (k == 0)))
+    code = np.where(zero, 0, np.where(a >= 1.0, 1, 5) + k)
+    bad = ~np.isfinite(raw) | _misselected(raw, a, k)
     return rate, code, ~zero & bad
 
 

@@ -13,9 +13,13 @@ regimes exist in `a`:
   collapse to 1, so the cancel-free term is never selected.
 * REGIME_II  (a < 1): the legitimate channel is stronger to begin with.
 
-`_conditions` and `_term_snrs` write the tests and the rate terms' SNRs
-once, for float or NumPy inputs, so the lattice oracle in `power` and
-the sweep's columns evaluate them too.
+`_betas` clamps `a` at 1 itself, which makes both thresholds exactly 1
+in regime I, so no caller tells the regimes apart to test the intervals.
+`_conditions`, `_term_snrs` and `_misselected` write the tests, the rate
+terms' SNRs and the misselection check once, for float or NumPy inputs,
+so the lattice oracle in `power` and the sweep's columns evaluate them
+too.  `_LABELS` is indexed by a branch code: 0 is ZERO-1, 1 + k is
+regime I's term k and 5 + k regime II's.
 
 All functions are pure and thread-safe.
 """
@@ -80,17 +84,13 @@ class BranchLabel:
         return f"{self.regime.value}-{self.sub_case}"
 
 
-# Labels are immutable, so each is built once.  The rate terms of
-# `_term_snrs` map to sub-cases in order; regime I never reaches the
-# cancel-free term.
-_ZERO_BRANCH = BranchLabel(Regime.ZERO, 1)
-_TERM_BRANCHES = {
-    regime: tuple(None if sub is None else BranchLabel(regime, sub) for sub in subs)
-    for regime, subs in (
-        (Regime.REGIME_I, (1, 2, None, 3)),
-        (Regime.REGIME_II, (1, 2, 3, 4)),
-    )
-}
+# Labels by branch code, each built once.  The rate terms of `_term_snrs`
+# map to sub-cases in order; regime I never reaches the cancel-free term.
+_LABELS = (
+    BranchLabel(Regime.ZERO, 1),
+    *(None if sub is None else BranchLabel(Regime.REGIME_I, sub) for sub in (1, 2, None, 3)),
+    *(BranchLabel(Regime.REGIME_II, sub) for sub in (1, 2, 3, 4)),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,31 +108,42 @@ class Thresholds:
 
     @classmethod
     def at(cls, gains: ChannelGains, alloc: PowerAllocation) -> "Thresholds":
-        return cls(*_betas(min(gains.a, 1.0), alloc.p1, alloc.p2))
+        return cls(*_betas(gains.a, alloc.p1, alloc.p2))
 
 
-def _betas(a, p1, p2):
-    """(beta1, beta2) at float or array inputs with a <= 1.
+def _betas(a, p1, p2, minimum=min):
+    """(beta1, beta2) at float or array inputs, with `minimum` to match.
 
-    The denominator of beta2 is then at least 1.  At a == 1 both come out
-    exactly 1.0: (1 + p1) / (1 + p1) rounds to 1 for every finite p1.
+    `a` is clamped at 1 first, so the denominator of beta2 is at least 1.
+    For a >= 1 both come out exactly 1.0 at finite powers: (1 + p1) / (1 + p1)
+    rounds to 1 and 0.0 * p2 is 0.
     """
+    a = minimum(a, 1.0)
     beta1 = (1.0 + p1) / (1.0 + a * p1)
     beta2 = a * (1.0 + p1) / (1.0 + a * p1 + (1.0 - a) * p2)
     return beta1, beta2
 
 
-def _conditions(a, b, p1, p2, regime_i):
+def _conditions(a, b, p1, p2, minimum=min):
     """The left-closed interval tests, in priority order.
 
     The ZERO regime, then the decode-first, joint and cancel-free terms;
     treat-as-noise applies when none holds.  Gains and powers may be
-    floats or broadcastable arrays.  `regime_i` (a >= 1) sets both
-    thresholds to 1, so the cancel-free term is never selected there; an
-    array caller evaluates both regimes and selects by a.
+    floats or broadcastable arrays, with `minimum` to match.  Both
+    thresholds are 1 for a >= 1, so the cancel-free term is never
+    selected there.
     """
-    beta1, beta2 = (1.0, 1.0) if regime_i else _betas(a, p1, p2)
+    beta1, beta2 = _betas(a, p1, p2, minimum)
     return a >= 1.0 + p2, b >= 1.0 + p1, b >= beta1, b >= beta2
+
+
+def _misselected(raw, a, k):
+    """Where the unclipped rate `raw` of term k is negative beyond rounding.
+
+    Only regime I's joint and treat-as-noise terms may go negative on
+    their own intervals.  Float or array inputs.
+    """
+    return (raw < _NEG_TOL) & ((a < 1.0) | (k == 0))
 
 
 def _cap(x, log2):
@@ -167,18 +178,17 @@ def achievable_rate(
     """
     a, b = gains.a, gains.b
     p1, p2 = alloc.p1, alloc.p2
-    regime_i = a >= 1.0
 
-    zero, decode, joint, mid = _conditions(a, b, p1, p2, regime_i)
+    zero, decode, joint, mid = _conditions(a, b, p1, p2)
     if zero:
-        return RateValue(0.0), _ZERO_BRANCH
+        return RateValue(0.0), _LABELS[0]
     k = 0 if decode else 1 if joint else 2 if mid else 3
     x, y = _term_snrs(k, a, b, p1, p2)
     raw = _cap(x, math.log2) - _cap(y, math.log2)
-    branch = _TERM_BRANCHES[Regime.REGIME_I if regime_i else Regime.REGIME_II][k]
+    branch = _LABELS[(1 if a >= 1.0 else 5) + k]
     if not math.isfinite(raw):
         raise DomainError(f"rate of branch {branch} overflows at {gains}, {alloc}")
-    if raw < _NEG_TOL and (a < 1.0 or k == 0):
+    if _misselected(raw, a, k):
         raise InvariantViolation(f"rate {raw} < 0 in {branch} at {gains}, {alloc}")
     return RateValue(raw if raw > 0.0 else 0.0), branch
 
@@ -188,6 +198,6 @@ def wiretap_capacity(a: float, p1: float) -> RateValue:
 
     Positive only when the eavesdropper's gain `a` is below one.
     """
-    a = _require_finite("gain a", a, minimum=0.0)
-    p1 = _require_finite("p1", p1, minimum=0.0)
+    a = _require_finite("gain a", a)
+    p1 = _require_finite("p1", p1)
     return RateValue(pos_part(gauss_cap(p1) - gauss_cap(a * p1)))

@@ -44,12 +44,13 @@ def _real(name: str, value: float) -> float:
         raise DomainError(f"{name} must be a real number, got {value!r}") from exc
 
 
-def _require_finite(name: str, value: float, *, minimum: float | None = None) -> float:
+def _require_finite(name: str, value: float) -> float:
+    """`value` as a finite float >= 0, or a DomainError that names `name`."""
     x = _real(name, value)
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x!r}")
-    if minimum is not None and x < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {x}")
+    if x < 0.0:
+        raise DomainError(f"{name} must be >= 0.0, got {x}")
     return x
 
 
@@ -68,8 +69,8 @@ class ChannelGains:
     b: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _require_finite("gain a", self.a, minimum=0.0))
-        object.__setattr__(self, "b", _require_finite("gain b", self.b, minimum=0.0))
+        object.__setattr__(self, "a", _require_finite("gain a", self.a))
+        object.__setattr__(self, "b", _require_finite("gain b", self.b))
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,8 +81,8 @@ class PowerBudget:
     p2_max: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p1_max", _require_finite("p1_max", self.p1_max, minimum=0.0))
-        object.__setattr__(self, "p2_max", _require_finite("p2_max", self.p2_max, minimum=0.0))
+        object.__setattr__(self, "p1_max", _require_finite("p1_max", self.p1_max))
+        object.__setattr__(self, "p2_max", _require_finite("p2_max", self.p2_max))
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,8 +93,8 @@ class PowerAllocation:
     p2: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p1", _require_finite("p1", self.p1, minimum=0.0))
-        object.__setattr__(self, "p2", _require_finite("p2", self.p2, minimum=0.0))
+        object.__setattr__(self, "p1", _require_finite("p1", self.p1))
+        object.__setattr__(self, "p2", _require_finite("p2", self.p2))
 
     def within(self, budget: PowerBudget) -> bool:
         """True when this allocation respects both limits of `budget`."""
@@ -130,7 +131,7 @@ def gauss_cap(x: float) -> float:
     Strictly increasing with gauss_cap(0) == 0.  Raises DomainError for
     negative or non-finite SNR.
     """
-    x = _require_finite("snr", x, minimum=0.0)
+    x = _require_finite("snr", x)
     return 0.5 * math.log2(1.0 + x)
 
 

@@ -117,21 +117,23 @@ def critical_powers(gains: ChannelGains, budget: PowerBudget) -> CriticalPowers:
     if b == 0.0:
         p2_star = math.inf
     else:
-        radicand, root = _p2_star_terms(a, b, budget.p1_max)
-        p2_star = root if radicand >= -_RADICAND_TOL else math.nan
+        real, root = _p2_star_terms(a, b, budget.p1_max)
+        p2_star = root if real else math.nan
     return CriticalPowers(p1_star, p2_star)
 
 
 def _p2_star_terms(a, b, pb1, sqrt=math.sqrt, square=_square, maximum=max):
-    """p2_star's radicand, and the root it gives when not negative.
+    """Whether p2_star exists, and the root it takes when it does.
 
+    p2_star exists where its radicand is not negative beyond rounding.
     Float or array inputs, with `sqrt`, `square` and `maximum` to match;
     defined for b > 0 and a*b < 1.  Nothing is checked.
     """
     radicand = square(a - 1.0, "(a - 1)^2 in p2_star") + (1.0 / b - a) * (
         a - b + (1.0 - b) * a * pb1
     )
-    return radicand, (a - 1.0 + sqrt(maximum(radicand, 0.0))) / (1.0 - a * b)
+    root = (a - 1.0 + sqrt(maximum(radicand, 0.0))) / (1.0 - a * b)
+    return radicand >= -_RADICAND_TOL, root
 
 
 def _allocation_cases(a, b, pb1, pb2, regime_i, minimum=min):
@@ -213,38 +215,43 @@ def _rate_grid(a: float, b: float, p1: np.ndarray, p2: np.ndarray) -> np.ndarray
 
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
+    # decode and joint read p1 alone and zero reads p2 alone, so each is
+    # tested once, on its own vector; the other power, 0.0, goes unread.
+    _, decode, joint, _ = _conditions(a, b, p1, 0.0)
+    zero = _conditions(a, b, 0.0, p2)[0]
+    row_term = np.where(decode, 0, np.where(joint, 1, 3))
     rates = np.empty((len(p1), len(p2)))
     rows = max(1, _GRID_BLOCK_CELLS // max(len(p2), 1))
     for i in range(0, len(p1), rows):
-        _rate_block(a, b, p1[i : i + rows], p2, rates[i : i + rows])
+        block = slice(i, i + rows)
+        _rate_block(a, b, p1[block], p2, row_term[block], zero, rates[block])
     return rates
 
 
-def _rate_block(a: float, b: float, p1: np.ndarray, p2: np.ndarray, out: np.ndarray) -> None:
+def _rate_block(
+    a: float, b: float, p1: np.ndarray, p2: np.ndarray, row_term: np.ndarray,
+    zero: np.ndarray, out: np.ndarray,
+) -> None:
     """Write the rate on the lattice p1 x p2 into `out`, one row class at a time.
 
-    Decode rows (b >= 1 + p1) take one 2-D log2, joint rows (b >= beta1,
-    or b >= 1 in regime I) two, and the remaining rows two for
-    treat-as-noise, whose cells with b >= beta2 (regime II only) take
-    the row's cancel-free value instead.  ZERO columns (a >= 1 + p2)
-    become 0 last, then negative rates are clipped, as in the scalar rate.
+    `row_term` is the term of each row's decode or joint test, else 3.
+    Decode rows (b >= 1 + p1) take one 2-D log2, joint rows (b >= beta1)
+    two, and the remaining rows two for treat-as-noise, whose cells with
+    b >= beta2 (regime II only) take the row's cancel-free value instead.
+    The `zero` columns (a >= 1 + p2) become 0 last, then negative rates
+    are clipped, as in the scalar rate.
     """
     import numpy as np
 
-    regime_i = a >= 1.0
-    # decode and joint read p1 alone and zero reads p2 alone, so each is
-    # tested on its own vector; the other power, 0.0, goes unread.
-    _, decode, joint, _ = _conditions(a, b, p1, 0.0, regime_i)
-    zero = _conditions(a, b, 0.0, p2, regime_i)[0]
-    joint = joint & ~decode
     P2 = p2[None, :]
-    for k, rows in ((0, decode), (1, joint), (3, ~(decode | joint))):
+    for k in (0, 1, 3):
+        rows = row_term == k
         if not rows.any():
             continue
         P1 = p1[rows][:, None]
         rate = _lattice_term(k, a, b, P1, P2)
-        if k == 3 and not regime_i:
-            mid = _conditions(a, b, P1, P2, regime_i)[3]
+        if k == 3 and a < 1.0:
+            mid = _conditions(a, b, P1, P2)[3]
             np.copyto(rate, _lattice_term(2, a, b, P1, 0.0), where=mid)
         out[rows] = rate
     out[:, zero] = 0.0
@@ -272,7 +279,8 @@ def grid_search_allocation(
     Evaluates the rate on an (n_steps+1)^2 lattice augmented with the
     closed-form critical powers (clamped to the budget, when finite and
     nonnegative).  Deterministic: ties are broken toward the smallest
-    p1, then the smallest p2.
+    p1, then the smallest p2.  A cell whose rate is not finite (an SNR
+    overflowed) is never chosen.
     """
     import numpy as np
 
@@ -291,10 +299,15 @@ def grid_search_allocation(
     cand1 = np.unique(cand1)
     cand2 = np.unique(cand2)
 
-    rates = _rate_grid(a, b, cand1, cand2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = _rate_grid(a, b, cand1, cand2)
     # C-order argmax scans p1-major, p2-minor: first maximum found is the
-    # lexicographically smallest allocation among exact ties.
-    i, j = divmod(int(np.argmax(rates)), rates.shape[1])
+    # lexicographically smallest allocation among exact ties.  argmax picks
+    # a NaN or +inf cell first, so only then are those cells masked.
+    best = int(np.argmax(rates))
+    if not math.isfinite(rates.flat[best]):
+        best = int(np.argmax(np.where(np.isfinite(rates), rates, -np.inf)))
+    i, j = divmod(best, rates.shape[1])
     alloc = PowerAllocation(float(cand1[i]), float(cand2[j]))
     rate, branch = achievable_rate(gains, alloc)
     return AllocationResult(alloc, rate, AllocationSource.GRID_ORACLE, branch)
@@ -328,7 +341,7 @@ def asymptotic_rate(gains: ChannelGains) -> RateValue:
 
 def wiretap_asymptotic_rate(a: float) -> RateValue:
     """Power-unconstrained secrecy capacity without a jammer: (1/2)[log2(1/a)]+."""
-    a = _require_finite("gain a", a, minimum=0.0)
+    a = _require_finite("gain a", a)
     if a == 0.0:
         return RateValue(math.inf)
     return RateValue(pos_part(0.5 * math.log2(1.0 / a)))

@@ -83,14 +83,14 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.param not in ("a", "b"):
             raise DomainError(f"param must be 'a' or 'b', got {self.param!r}")
-        start = _require_finite("start", self.start, minimum=0.0)
-        end = _require_finite("end", self.end, minimum=0.0)
+        start = _require_finite("start", self.start)
+        end = _require_finite("end", self.end)
         if start > end:
             raise DomainError(f"start {start} exceeds end {end}")
         # bool is an int subclass, but True is not a step count.
         if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1:
             raise DomainError(f"steps must be an integer >= 1, got {self.steps!r}")
-        fixed = _require_finite("fixed_gain", self.fixed_gain, minimum=0.0)
+        fixed = _require_finite("fixed_gain", self.fixed_gain)
         if not isinstance(self.budget, PowerBudget):
             raise DomainError("budget must be a PowerBudget")
         if not isinstance(self.power_mode, PowerMode):

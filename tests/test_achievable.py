@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -83,6 +84,22 @@ class TestThresholds:
             assert th.beta2 <= 1.0 + 1e-12
             assert 1.0 - 1e-12 <= th.beta1 <= 1.0 + p1 + 1e-12
             assert th.beta2 <= th.beta1 + 1e-12
+
+    def test_clamp_gives_exact_unit_thresholds_from_unit_gain_on(self):
+        powers = (0.0, 1e-300, 3.0, 1e300)
+        for a, p1, p2 in itertools.product((1.0, 1.5, 4.0, 1e300), powers, powers):
+            th = Thresholds.at(ChannelGains(a, 1.0), PowerAllocation(p1, p2))
+            assert (th.beta1, th.beta2) == (1.0, 1.0), (a, p1, p2)
+
+    def test_array_clamp_matches_scalar_elementwise(self):
+        from coopjam._columns import _minimum
+        from coopjam.achievable import _betas
+
+        a = np.array([0.0, 0.25, 0.999999, 1.0, 1.000001, 2.0, 1e300])
+        for p1, p2 in ((0.0, 0.0), (3.0, 7.0), (1e-300, 1e300), (1e300, 2.0)):
+            beta1, beta2 = _betas(a, p1, p2, _minimum)
+            expected = [_betas(x, p1, p2) for x in a.tolist()]
+            assert list(zip(beta1.tolist(), beta2.tolist())) == expected
 
     def test_beta2_defined_at_extreme_interferer_power(self):
         # Denominator 1 + a*P1 + (1-a)*P2 stays positive for a < 1.

@@ -1,8 +1,13 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coopjam
 from coopjam.cli import main
 from coopjam.model import InvariantViolation
 
@@ -291,3 +296,28 @@ def test_failing_command_prints_nothing(monkeypatch, capsys, patched, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invariant violation: injected" in captured.err
+
+
+# Each lattice overflows a float somewhere.  Run in a fresh interpreter, so
+# that a NumPy warning reaches stderr as it would for a user.
+@pytest.mark.parametrize(
+    "point, grid_line",
+    [
+        (["--a", "2", "--b", "2", "--pbar1", "1e308", "--pbar2", "1e308"],
+         "grid_rate = 0.5 at p1 = 1, p2 = 3.33333333333e+305"),
+        (["--a", "1e200", "--b", "0.5", "--pbar1", "1e200", "--pbar2", "1e200"],
+         "grid_rate = 0 at p1 = 0, p2 = 0"),
+    ],
+)
+def test_overflowing_lattice_exits_0_without_warnings(point, grid_line):
+    src = str(Path(coopjam.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coopjam.cli", "power", *point, "--check-grid"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert grid_line in proc.stdout

@@ -346,3 +346,16 @@ def test_grid_steps_below_two_exit_2_before_any_output(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "n_steps must be an integer >= 2, got 1" in captured.err
+
+
+# Both SNRs of a term overflow in some cells of the first lattice (inf - inf
+# is NaN, others are +inf); the second only overflows in unselected terms.
+@pytest.mark.parametrize(
+    "a, b, pbar, expected",
+    [(2.0, 2.0, 1e308, (1.0, 1e308 / 300, 0.5)), (1e200, 0.5, 1e200, (0.0, 0.0, 0.0))],
+)
+def test_grid_never_chooses_a_non_finite_cell(a, b, pbar, expected):
+    gains, budget = ChannelGains(a, b), PowerBudget(pbar, pbar)
+    grid = grid_search_allocation(gains, budget, 300)
+    assert (grid.alloc.p1, grid.alloc.p2, grid.rate.value) == expected
+    assert grid.rate == optimal_allocation(gains, budget).rate
