@@ -22,7 +22,7 @@ and their threshold clamp (`achievable._conditions`), the branch-label
 table (`achievable._LABELS`), the misselection test
 (`achievable._misselected`) and the p2_star radicand test
 (`power._p2_star_terms`) each have one owner, called here with column
-stand-ins for `min`, `max`, `sqrt`, `log2` and the square.
+stand-ins for `min`, `max`, `sqrt`, `log2`, the square and `where`.
 
 Each block also names the rows the columns cannot vouch for; `sweep`
 replays those through the scalar functions.
@@ -47,7 +47,7 @@ from .bound import (
     _star_terms,
 )
 from .model import gauss_cap
-from .power import _DEGRADED_TOL, _allocation_cases, _p2_star_terms
+from .power import _allocation_cases, _p2_star_terms
 from .sweep import PowerMode, SweepSpec, _gain_pair
 
 
@@ -93,13 +93,13 @@ def _allocation_columns(a, b, pb1, pb2):
         tests += [in_regime & test for test in t]
         p1s += p1
         p2s += p2
-    real, root = _p2_star_terms(a, b, pb1, np.sqrt, _square, _maximum)
+    real, root = _p2_star_terms(a, b, pb1, np.sqrt, _square, _maximum, np.where)
     p2_star = np.where(b == 0.0, np.inf, np.where(real, root, np.nan))
     case = np.select(tests, range(len(tests)))
     jam = np.choose(case, [p2 is None for p2 in p2s])
     p1 = np.choose(case, p1s)
     p2 = np.choose(case, [_minimum(pb2, p2_star) if p2 is None else p2 for p2 in p2s])
-    replay = jam & ((1.0 - a * b < _DEGRADED_TOL) | ~(p2_star >= 0.0))
+    replay = jam & ~(p2_star >= 0.0)
     # PowerAllocation's checks, and allocation within the budget.
     replay |= ~((0.0 <= p1) & (p1 <= pb1) & (0.0 <= p2) & (p2 <= pb2))
     return p1, p2, replay

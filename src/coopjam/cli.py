@@ -22,9 +22,8 @@ one that fails with exit 1 or 2 leaves stdout empty, except `verify`,
 which prints every check's PASS/FAIL line before exiting 1 on a FAIL.
 
 `rate`, `bound` and `power` answer by the closed forms and never import
-NumPy.  `sweep`, `fig2/3/4`, `power --check-grid`, `power` within 1e-9
-of the degraded line a*b = 1 (where it falls back to the lattice oracle)
-and `verify` import it when they first build an array.
+NumPy.  `sweep`, `fig2/3/4`, `power --check-grid` and `verify` import
+it when they first build an array.
 """
 
 from __future__ import annotations

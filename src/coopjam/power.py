@@ -7,7 +7,8 @@ one for a < 1.  Two critical powers appear in them:
   still decode the jamming signal first and cancel it.
 * p2_star: the stationary jammer power of the treat-as-noise branch,
   beyond which extra jamming hurts the receiver more than the
-  eavesdropper.
+  eavesdropper.  `_p2_star_terms` writes it without cancellation up to
+  the degraded line a*b = 1, so every case is answered in closed form.
 
 `grid_search_allocation` is an independently-maximizing lattice oracle
 used to validate the closed form.  It evaluates the same rate terms and
@@ -26,8 +27,8 @@ contiguous array, since numpy may take another inner loop for a strided
 one.
 
 NumPy is imported inside the lattice functions, on their first call, so
-the closed forms (`optimal_allocation` away from a*b = 1,
-`critical_powers`, the asymptotic rates) run without loading it.
+the closed forms (`optimal_allocation`, `critical_powers`, the asymptotic
+rates) run without loading it.
 """
 
 from __future__ import annotations
@@ -64,17 +65,9 @@ __all__ = [
     "wiretap_asymptotic_rate",
 ]
 
-# The p2_star formula divides by 1 - a*b; closer to the degraded line
-# than this it is ill-conditioned and the grid oracle takes over.
-_DEGRADED_TOL = 1e-9
-# critical_powers refuses p2_star this close to a*b = 1, where 1 - a*b may
-# round to zero, and the grid asks for it only outside; _DEGRADED_TOL is
-# wider because it is about the closed form's accuracy, not definedness.
-_DEGRADED_EXACT_TOL = 1e-12
 # A p2_star radicand above -this is rounding noise around zero.
 _RADICAND_TOL = 1e-12
-# The lattice resolution of the grid fallback, and the default of the
-# lattice checks in `verify` and `coopjam power --check-grid`.
+# The default lattice resolution of `verify` and `power --check-grid`.
 _GRID_STEPS = 300
 
 
@@ -111,7 +104,7 @@ class CriticalPowers:
 def critical_powers(gains: ChannelGains, budget: PowerBudget) -> CriticalPowers:
     """Evaluate both critical powers; requires a*b < 1 for p2_star."""
     a, b = gains.a, gains.b
-    if a * b >= 1.0 - _DEGRADED_EXACT_TOL:
+    if a * b >= 1.0:
         raise DomainError(f"p2_star is defined only for a*b < 1, got a*b = {a * b}")
     p1_star = b - 1.0
     if b == 0.0:
@@ -122,18 +115,29 @@ def critical_powers(gains: ChannelGains, budget: PowerBudget) -> CriticalPowers:
     return CriticalPowers(p1_star, p2_star)
 
 
-def _p2_star_terms(a, b, pb1, sqrt=math.sqrt, square=_square, maximum=max):
+def _where(test, x, y):
+    return x if test else y
+
+
+def _p2_star_terms(a, b, pb1, sqrt=math.sqrt, square=_square, maximum=max, where=_where):
     """Whether p2_star exists, and the root it takes when it does.
 
-    p2_star exists where its radicand is not negative beyond rounding.
-    Float or array inputs, with `sqrt`, `square` and `maximum` to match;
-    defined for b > 0 and a*b < 1.  Nothing is checked.
+    p2_star is the larger root of (1 - ab) x^2 - 2(a - 1) x - c/b, where
+    c = a - b + (1 - b) a pb1, and exists where R = (a - 1)^2 + (1/b - a) c
+    is not negative beyond rounding.  Where a < 1 and sqrt(R) < 2(1 - a),
+    the plain numerator a - 1 + sqrt(R) would lose more than a bit, so
+    the conjugate c / (b (sqrt(R) + 1 - a)) is taken; either is as exact
+    as the root's conditioning, about 2^-53 / (1 - ab), up to a*b = 1.
+    Float or array inputs, with `sqrt`, `square`, `maximum` and `where`
+    to match; defined for b > 0 and a*b < 1.  Nothing is checked.
     """
-    radicand = square(a - 1.0, "(a - 1)^2 in p2_star") + (1.0 / b - a) * (
-        a - b + (1.0 - b) * a * pb1
-    )
-    root = (a - 1.0 + sqrt(maximum(radicand, 0.0))) / (1.0 - a * b)
-    return radicand >= -_RADICAND_TOL, root
+    c = a - b + (1.0 - b) * a * pb1
+    radicand = square(a - 1.0, "(a - 1)^2 in p2_star") + (1.0 / b - a) * c
+    root = sqrt(maximum(radicand, 0.0))
+    num = a - 1.0 + root
+    plain = num >= 1.0 - a
+    p2_star = where(plain, num, c) / where(plain, 1.0 - a * b, b * (root + 1.0 - a))
+    return radicand >= -_RADICAND_TOL, p2_star
 
 
 def _allocation_cases(a, b, pb1, pb2, regime_i, minimum=min):
@@ -142,9 +146,8 @@ def _allocation_cases(a, b, pb1, pb2, regime_i, minimum=min):
     `regime_i` selects the cases for a >= 1, otherwise those for a < 1.
     The first case whose test holds applies; the last test is True.  A
     p2 of None marks the jamming case, which transmits min(pb2, p2_star)
-    and falls back to the grid oracle near the degraded line.  Gains and
-    budgets may be floats or arrays (with `minimum` to match), so the
-    tests combine with `&`.
+    and has a*b < 1.  Gains and budgets may be floats or arrays (with
+    `minimum` to match), so the tests combine with `&`.
     """
     ab = a * b
     if regime_i:
@@ -170,10 +173,8 @@ def _allocation_cases(a, b, pb1, pb2, regime_i, minimum=min):
 def optimal_allocation(gains: ChannelGains, budget: PowerBudget) -> AllocationResult:
     """Rate-maximizing powers within `budget`, by the closed-form cases.
 
-    Near the degraded line a*b = 1.0 (within 1e-9), the branches that
-    need p2_star fall back to the grid oracle because the closed form is
-    numerically unstable there; the result then reports GRID_ORACLE as
-    its source.
+    Every case is answered in closed form, up to the degraded line
+    a*b = 1 (see `_p2_star_terms`), so the source is always CLOSED_FORM.
     """
     a, b = gains.a, gains.b
     pb1, pb2 = budget.p1_max, budget.p2_max
@@ -181,8 +182,6 @@ def optimal_allocation(gains: ChannelGains, budget: PowerBudget) -> AllocationRe
     k = tests.index(True)
     p1, p2 = p1s[k], p2s[k]
     if p2 is None:
-        if 1.0 - a * b < _DEGRADED_TOL:
-            return grid_search_allocation(gains, budget, _GRID_STEPS)
         p2_star = critical_powers(gains, budget).p2_star
         if not p2_star >= 0.0:
             raise InvariantViolation(f"p2_star {p2_star} < 0 at {gains}, {budget}")
@@ -292,7 +291,7 @@ def grid_search_allocation(
     cand2 = np.linspace(0.0, pb2, n_steps + 1)
     if b - 1.0 >= 0.0:
         cand1 = np.append(cand1, min(b - 1.0, pb1))
-    if a * b < 1.0 - _DEGRADED_EXACT_TOL:
+    if a * b < 1.0:
         p2_star = critical_powers(gains, budget).p2_star
         if math.isfinite(p2_star) and p2_star >= 0.0:
             cand2 = np.append(cand2, min(p2_star, pb2))

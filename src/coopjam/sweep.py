@@ -14,10 +14,9 @@ bit-identical to `optimal_allocation`, `achievable_rate` and
 and with it NumPy, on its first call; this module does not import NumPy.
 
 A row replays the scalar path instead when the columns cannot vouch for
-it: when its allocation needs the grid oracle near a*b = 1, when its
-bound takes the cancelled form (rho* >= 1 - 1e-9), when a value is
-non-finite or a square overflows, or when it fails a check that raises
-in the scalar path (an invariant, a RateValue check, soundness).  Those
+it: when its bound takes the cancelled form (rho* >= 1 - 1e-9), when a
+value is non-finite or a square overflows, or when it fails a check
+that raises in the scalar path (an invariant, a RateValue check, soundness).  Those
 rows replay in ascending abscissa, so a sweep raises exactly what the
 row-by-row evaluation raises.
 

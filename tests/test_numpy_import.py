@@ -16,23 +16,22 @@ from coopjam.cli import main
 
 _SRC = str(Path(coopjam.__file__).resolve().parent.parent)
 
-# Answered by the closed forms alone; each power point is away from a*b = 1.
+# Answered by the closed forms alone, up to the degraded line a*b = 1.
 SCALAR_COMMANDS = {
     "rate": ["rate", "--a", "0.5", "--b", "0.5", "--p1", "2", "--p2", "0.6666666666666666"],
     "bound": ["bound", "--a", "0.5", "--b", "1.5", "--pbar1", "2", "--pbar2", "2"],
     "power-II": ["power", "--a", "0.5", "--b", "0.5", "--pbar1", "2", "--pbar2", "2"],
     "power-I": ["power", "--a", "2", "--b", "1.5", "--pbar1", "2", "--pbar2", "2"],
+    "power-near-line": ["power", "--a", "1", "--b", "0.9999999999", "--pbar1", "2", "--pbar2", "2"],
 }
 
-# Each builds an array: a sweep, the lattice oracle (asked for, or as
-# the fallback on the degraded line a*b = 1), verify's generators.
+# Each builds an array: a sweep, the lattice oracle, verify's generators.
 NUMPY_COMMANDS = {
     "fig2": ["fig2", "--steps", "8"],
     "check-grid": [
         "power", "--a", "2", "--b", "1.5", "--pbar1", "2", "--pbar2", "2",
         "--check-grid", "--grid-steps", "4",
     ],
-    "grid-fallback": ["power", "--a", "1", "--b", "0.9999999999", "--pbar1", "2", "--pbar2", "2"],
     "verify": ["verify", "--samples", "10"],
 }
 
@@ -93,5 +92,3 @@ def test_array_command_loads_numpy_when_run(name):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.endswith("numpy loaded: False -> True\n")
-    if name == "grid-fallback":
-        assert "source = grid_oracle" in proc.stdout

@@ -1,8 +1,11 @@
 import math
+import statistics
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
+import decimal_reference as ref
 from coopjam import power
 from coopjam.achievable import achievable_rate
 from coopjam.cli import main
@@ -10,6 +13,7 @@ from coopjam.model import InvariantViolation
 from coopjam.model import ChannelGains, DomainError, PowerAllocation, PowerBudget
 from coopjam.power import (
     AllocationSource,
+    _allocation_cases,
     _rate_grid,
     asymptotic_rate,
     critical_powers,
@@ -65,10 +69,18 @@ class TestOptimalAllocation:
             assert res.rate.value == direct.value
             assert res.branch == branch
 
-    def test_near_degraded_line_falls_back_to_grid(self):
-        res = optimal_allocation(ChannelGains(1.0, 1.0 - 5e-10), PowerBudget(2.0, 2.0))
-        assert res.source is AllocationSource.GRID_ORACLE
+    def test_near_degraded_line_is_answered_in_closed_form(self):
+        # 1 - ab = 5e-10: the closed form is as good as the lattice there
+        # and reaches the decimal optimum, p1 = 2 and p2 = min(2, p2_star).
+        a, b = 1.0, 1.0 - 5e-10
+        gains, budget = ChannelGains(a, b), PowerBudget(2.0, 2.0)
+        res = optimal_allocation(gains, budget)
+        assert res.source is AllocationSource.CLOSED_FORM
         assert res.rate.value < 1e-6
+        grid = grid_search_allocation(gains, budget, 300)
+        assert res.rate.value >= grid.rate.value - 1e-15
+        optimum = ref.rate(a, b, 2.0, min(Decimal(2), ref.p2_star(a, b, 2.0)))
+        assert abs(Decimal(res.rate.value) - optimum) <= Decimal("1e-15")
 
     def test_dominates_silent_interferer(self):
         rng = np.random.default_rng(17)
@@ -152,11 +164,89 @@ class TestCriticalPowers:
         cp = critical_powers(ChannelGains(0.5, 0.0), PowerBudget(2.0, 2.0))
         assert math.isinf(cp.p2_star)
 
+    def test_answers_within_1e_12_of_the_degraded_line(self):
+        # Regime II's jamming case with 0 < 1 - ab < 1e-12.  The root's
+        # relative condition number in a*b and 1/b, which round at 2^-53,
+        # is about 1/(1 - ab).
+        rng = np.random.default_rng(13)
+        checked = 0
+        while checked < 20:
+            a, b = (1.0 - 10.0 ** rng.uniform(-15.0, -12.3, size=2)).tolist()
+            pb1 = float(10.0 ** rng.uniform(-2.0, 4.0))
+            tests, _, p2s = _allocation_cases(a, b, pb1, 1.0, False)
+            if not 1.0 - a * b < 1e-12 or p2s[tests.index(True)] is not None:
+                continue
+            checked += 1
+            p2_star = critical_powers(ChannelGains(a, b), PowerBudget(pb1, 1.0)).p2_star
+            assert math.isfinite(p2_star) and p2_star >= 0.0
+            want = ref.p2_star(a, b, pb1)
+            assert abs(Decimal(p2_star) / want - 1) <= Decimal(4 * 2.0**-53 / (1.0 - a * b))
+
     def test_rejects_degraded_and_beyond(self):
         with pytest.raises(DomainError):
             critical_powers(ChannelGains(2.0, 0.5), PowerBudget(2.0, 2.0))
         with pytest.raises(DomainError):
             critical_powers(ChannelGains(2.0, 0.9), PowerBudget(2.0, 2.0))
+
+
+def _near_line_point(rng, regime_i):
+    """A gain pair within 1e-9 of a*b = 1 and a budget, as floats."""
+    if regime_i:
+        a = 1.0 if rng.random() < 0.5 else 1.0 + 10.0 ** rng.uniform(-14.0, 0.0)
+        b = (1.0 - 10.0 ** rng.uniform(-16.0, -9.0)) / a
+    else:
+        a, b = 1.0 - 10.0 ** rng.uniform(-15.0, -9.5, size=2)
+    pb1, pb2 = 10.0 ** rng.uniform(-2.0, 4.0), 10.0 ** rng.uniform(-2.0, 12.0)
+    return float(a), float(b), float(pb1), float(pb2)
+
+
+@pytest.mark.parametrize("regime_i", [True, False], ids=["I", "II"])
+def test_near_line_jamming_reaches_the_decimal_optimum(regime_i):
+    # The jamming case transmits p1 = pb1 and p2 = min(pb2, p2_star).  Its
+    # exact rate at the chosen powers is within 1e-17 of the exact rate at
+    # the decimal root (a 300-step lattice falls short by up to 7e-13);
+    # the float rate is within the rounding of two caps below 7 bits.
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 60:
+        a, b, pb1, pb2 = _near_line_point(rng, regime_i)
+        tests, p1s, p2s = _allocation_cases(a, b, pb1, pb2, a >= 1.0)
+        k = tests.index(True)
+        if not a * b < 1.0 or p2s[k] is not None:
+            continue
+        checked += 1
+        res = optimal_allocation(ChannelGains(a, b), PowerBudget(pb1, pb2))
+        assert res.source is AllocationSource.CLOSED_FORM
+        optimum = ref.rate(a, b, p1s[k], min(Decimal(pb2), ref.p2_star(a, b, pb1)))
+        assert ref.rate(a, b, res.alloc.p1, res.alloc.p2) >= optimum - Decimal("1e-17")
+        assert abs(Decimal(res.rate.value) - optimum) <= Decimal("2e-15")
+
+
+def test_p2_star_bits_that_move_come_closer_to_the_decimal_root():
+    # Where a < 1 and the plain numerator a - 1 + sqrt(R) cancels, the
+    # conjugate form is taken.  On the regime II jamming rows of the
+    # fig2/3/4 presets at 400 steps whose root it moves, it is closer to
+    # the decimal root in total, at the median and at the worst row.
+    curves = [lambda x: (x, x), lambda x: (0.6, x), lambda x: (x, 0.2)]
+    plain_err, got_err = [], []
+    for gains_at in curves:
+        for i in range(401):
+            a, b = gains_at(4.0 * (i / 400))
+            tests, _, p2s = _allocation_cases(a, b, 2.0, 2.0, a >= 1.0)
+            if a >= 1.0 or b == 0.0 or p2s[tests.index(True)] is not None:
+                continue
+            got = critical_powers(ChannelGains(a, b), PowerBudget(2.0, 2.0)).p2_star
+            c = a - b + (1.0 - b) * a * 2.0
+            plain = (a - 1.0 + math.sqrt((a - 1.0) ** 2 + (1.0 / b - a) * c)) / (1.0 - a * b)
+            if got == plain:
+                continue
+            want = ref.p2_star(a, b, 2.0)
+            plain_err.append(abs(Decimal(plain) - want) / Decimal(math.ulp(plain)))
+            got_err.append(abs(Decimal(got) - want) / Decimal(math.ulp(got)))
+    assert len(got_err) >= 40
+    assert sum(got_err) < sum(plain_err)
+    assert statistics.median(got_err) < statistics.median(plain_err)
+    assert max(got_err) < max(plain_err)
 
 
 class TestAsymptoticRate:
