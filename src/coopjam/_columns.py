@@ -17,12 +17,13 @@ every log2 and square goes through libm (`math.log2`, `math.pow`) one
 element at a time, because NumPy's log2 and x ** 2 round differently
 from libm in about 0.1% of inputs.
 
-The columns restate no rule of the scalar path: the interval tests
-and their threshold clamp (`achievable._conditions`), the branch-label
-table (`achievable._LABELS`), the misselection test
-(`achievable._misselected`) and the p2_star radicand test
-(`power._p2_star_terms`) each have one owner, called here with column
-stand-ins for `min`, `max`, `sqrt`, `log2`, the square and `where`.
+The columns restate no rule or tolerance of the scalar path.  Each has
+one owner, called here with column stand-ins for `min`, `sqrt`, `log2`,
+the square and `where`: the interval tests, branch codes and labels and
+the misselection test (`achievable._conditions`, `_branch_code`,
+`_LABELS`, `_misselected`), p2_star (`power._p2_star_terms`), and
+rho_star, when f(rho_star) is evaluated directly, the final bound and
+soundness (`bound._rho_root`, `_direct`, `_final_bound`, `_unsound`).
 
 Each block also names the rows the columns cannot vouch for; `sweep`
 replays those through the scalar functions.
@@ -36,32 +37,19 @@ from typing import Iterator
 
 import numpy as np
 
-from .achievable import _LABELS, _cap, _conditions, _misselected, _term_snrs
-from .bound import (
-    SOUNDNESS_TOL,
-    _DEGENERATE_S,
-    _DELTA_TOL,
-    _RHO_EDGE,
-    _f_log_arg,
-    _rho_root,
-    _star_terms,
-)
-from .model import gauss_cap
+from .achievable import _LABELS, _branch_code, _cap, _conditions, _misselected, _term_snrs
+from .bound import _direct, _f_log_arg, _final_bound, _rho_root, _star_terms, _unsound
 from .power import _allocation_cases, _p2_star_terms
 from .sweep import PowerMode, SweepSpec, _gain_pair
 
 
 # Column stand-ins for the scalar helpers the formulas take as arguments.
-# min and max mirror Python's: the first argument unless the second is
-# strictly smaller (larger).  A libm function that would raise returns
-# NaN instead, which flags its row for replay.
+# min mirrors Python's: the first argument unless the second is strictly
+# smaller.  A libm function that would raise returns NaN instead, which
+# flags its row for replay.
 
 def _minimum(x, y):
     return np.where(y < x, y, x)
-
-
-def _maximum(x, y):
-    return np.where(y > x, y, x)
 
 
 def _each(fn, x, *args):
@@ -93,8 +81,8 @@ def _allocation_columns(a, b, pb1, pb2):
         tests += [in_regime & test for test in t]
         p1s += p1
         p2s += p2
-    real, root = _p2_star_terms(a, b, pb1, np.sqrt, _square, _maximum, np.where)
-    p2_star = np.where(b == 0.0, np.inf, np.where(real, root, np.nan))
+    p2_star = _p2_star_terms(a, b, pb1, np.sqrt, _square, np.where)
+    p2_star = np.where(b == 0.0, np.inf, p2_star)
     case = np.select(tests, range(len(tests)))
     jam = np.choose(case, [p2 is None for p2 in p2s])
     p1 = np.choose(case, p1s)
@@ -113,7 +101,7 @@ def _rate_columns(a, b, p1, p2):
     x, y = np.choose(k, xs), np.choose(k, ys)
     raw = _cap(x, _log2) - _cap(y, _log2)
     rate = np.where(zero | ~(raw > 0.0), 0.0, raw)
-    code = np.where(zero, 0, np.where(a >= 1.0, 1, 5) + k)
+    code = np.where(zero, 0, _branch_code(a, k, np.where))
     bad = ~np.isfinite(raw) | _misselected(raw, a, k)
     return rate, code, ~zero & bad
 
@@ -121,16 +109,12 @@ def _rate_columns(a, b, p1, p2):
 def _bound_columns(a, b, pb1, pb2):
     """final_bound of `sato_upper_bound` per row, and the rows to replay."""
     s, m, _, _, delta = _star_terms(a, b, pb1, pb2, np.sqrt, _square)
-    replay = ~(delta >= -_DELTA_TOL)
-    delta = _maximum(delta, 0.0)
-    rho = np.where(s <= _DEGENERATE_S, 0.0, _rho_root(s, m, delta, np.sqrt))
-    # The cancelled form near rho = 1, and sato_f's domain check.
-    replay |= ~((-1.0 < rho) & (rho < 1.0 - _RHO_EDGE))
+    rho = _rho_root(s, m, delta, np.sqrt, np.where)
     num, arg = _f_log_arg(a, b, pb1, pb2, rho, np.sqrt, _square)
     f_at = 0.5 * _log2(arg)
-    replay |= ~(num > 0.0) | ~np.isfinite(f_at)
-    bound = _minimum(f_at, gauss_cap(pb1))
-    return np.where(bound > 0.0, bound, 0.0), replay
+    # The cancelled form near rho = 1 or a NaN root, and `_f_value`'s check.
+    replay = ~_direct(rho) | ~(num > 0.0) | ~np.isfinite(f_at)
+    return _final_bound(f_at, pb1, _minimum, np.where), replay
 
 
 # Columns are evaluated this many rows at a time, so that their
@@ -171,7 +155,7 @@ def _block_columns(spec: SweepSpec, x: np.ndarray) -> tuple:
             p1, p2, replay = pb1, pb2, False
         rate, code, bad_rate = _rate_columns(a, b, p1, p2)
         bound, bad_bound = _bound_columns(a, b, pb1, pb2)
-        replay = replay | bad_rate | bad_bound | (rate > bound + SOUNDNESS_TOL)
+        replay = replay | bad_rate | bad_bound | _unsound(rate, bound)
     # Placeholders in the rows to replay; RateValue would reject some values.
     rate = np.where(replay, 0.0, rate)
     bound = np.where(replay, 0.0, bound)

@@ -15,11 +15,11 @@ regimes exist in `a`:
 
 `_betas` clamps `a` at 1 itself, which makes both thresholds exactly 1
 in regime I, so no caller tells the regimes apart to test the intervals.
-`_conditions`, `_term_snrs` and `_misselected` write the tests, the rate
-terms' SNRs and the misselection check once, for float or NumPy inputs,
-so the lattice oracle in `power` and the sweep's columns evaluate them
-too.  `_LABELS` is indexed by a branch code: 0 is ZERO-1, 1 + k is
-regime I's term k and 5 + k regime II's.
+`_conditions`, `_term_snrs`, `_misselected` and `_branch_code` write the
+tests, the rate terms' SNRs, the misselection check and the branch code
+once, for float or NumPy inputs, so the lattice oracle in `power` and
+the sweep's columns evaluate them too.  `_LABELS` is indexed by a branch
+code: 0 is ZERO-1, 1 + k is regime I's term k and 5 + k regime II's.
 
 All functions are pure and thread-safe.
 """
@@ -37,6 +37,7 @@ from .model import (
     PowerAllocation,
     RateValue,
     _require_finite,
+    _where,
     gauss_cap,
     pos_part,
 )
@@ -91,6 +92,11 @@ _LABELS = (
     *(None if sub is None else BranchLabel(Regime.REGIME_I, sub) for sub in (1, 2, None, 3)),
     *(BranchLabel(Regime.REGIME_II, sub) for sub in (1, 2, 3, 4)),
 )
+
+
+def _branch_code(a, k, where=_where):
+    """The `_LABELS` index of rate term k outside ZERO; float or array `a`."""
+    return where(a >= 1.0, 1, 5) + k
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,7 +191,7 @@ def achievable_rate(
     k = 0 if decode else 1 if joint else 2 if mid else 3
     x, y = _term_snrs(k, a, b, p1, p2)
     raw = _cap(x, math.log2) - _cap(y, math.log2)
-    branch = _LABELS[(1 if a >= 1.0 else 5) + k]
+    branch = _LABELS[_branch_code(a, k)]
     if not math.isfinite(raw):
         raise DomainError(f"rate of branch {branch} overflows at {gains}, {alloc}")
     if _misselected(raw, a, k):

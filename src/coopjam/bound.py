@@ -14,6 +14,10 @@ and increasing in both powers, so the bound evaluates at full budgets.
 The final capacity bound additionally caps this with the jamming-free
 direct-link capacity g(P1_max).
 
+The rules that decide the bound (`_star_terms`, `_rho_root`, `_direct`,
+`_final_bound`, `_unsound`) take float or array inputs, with stand-ins
+for `sqrt`, the square, `min` and `where`, so the sweep's columns reuse them.
+
 `rho_min_oracle` re-derives the minimizer numerically (golden-section
 over the convex profile) and exists purely to cross-check rho_star.
 """
@@ -32,8 +36,8 @@ from .model import (
     RateValue,
     _real,
     _square,
+    _where,
     gauss_cap,
-    pos_part,
 )
 
 __all__ = [
@@ -53,8 +57,6 @@ _RHO_CLAMP = 1.0 - 1e-12
 # Below this combined cross-amplitude the minimizer formula is 0/0 while
 # f itself is well defined (and minimized at rho = 0).
 _DEGENERATE_S = 1e-12
-# delta is a product of nonnegative sums; below -this it was misevaluated.
-_DELTA_TOL = 1e-12
 
 # The golden-section oracle stops once its bracket is this narrow.
 _ORACLE_TOL = 1e-10
@@ -132,8 +134,8 @@ def _star_terms(a, b, p1, p2, sqrt=math.sqrt, square=_square):
     """s, m, the two discriminant factors and delta, for float or array inputs.
 
     The factors equal m - 2s and m + 2s but are computed as sums of
-    nonnegative products, so delta = lo * hi cannot go negative through
-    cancellation.  Nothing is checked; see `_star_parts`.
+    nonnegative products, so delta = lo * hi is >= 0 by construction, or
+    NaN where an overflowed product meets a zero power.  Nothing is checked.
     """
     ra, rb = sqrt(a), sqrt(b)
     s = ra * p1 + rb * p2
@@ -152,39 +154,42 @@ def _star_terms(a, b, p1, p2, sqrt=math.sqrt, square=_square):
     return s, m, d_lo, d_hi, d_lo * d_hi
 
 
-def _star_parts(
-    a: float, b: float, p1: float, p2: float
-) -> tuple[float, float, float, float, float]:
-    """Shared pieces of the minimizer: s, m, the two discriminant factors, delta."""
-    s, m, d_lo, d_hi, delta = _star_terms(a, b, p1, p2)
-    if not delta >= -_DELTA_TOL:
-        raise InvariantViolation(
-            f"negative discriminant {delta} at a={a}, b={b}, p1={p1}, p2={p2}"
-        )
-    return s, m, d_lo, d_hi, max(delta, 0.0)
+def _rho_root(s, m, delta, sqrt=math.sqrt, where=_where):
+    """The minimizer 2s / (m + sqrt(delta)), >= 0 or NaN; 0 / 1 where s <= 1e-12."""
+    flat = s <= _DEGENERATE_S
+    return where(flat, 0.0, 2.0 * s) / where(flat, 1.0, m + sqrt(delta))
 
 
-def _rho_root(s, m, delta, sqrt=math.sqrt):
-    """The minimizer 2s / (m + sqrt(delta)), for float or array inputs."""
-    return 2.0 * s / (m + sqrt(delta))
+def _direct(rho):
+    """Where f(rho*) is evaluated directly: rho* < 1 - 1e-9, so not NaN."""
+    return rho < 1.0 - _RHO_EDGE
+
+
+def _final_bound(f_at, p1, minimum=min, where=_where):
+    """max(min(f(rho*), g(p1)), 0), for float or array `f_at`."""
+    bound = minimum(f_at, gauss_cap(p1))
+    return where(bound > 0.0, bound, 0.0)
+
+
+def _unsound(rate, bound):
+    """Where an achievable `rate` exceeds `bound` beyond rounding."""
+    return rate > bound + SOUNDNESS_TOL
 
 
 def _minimizer(a: float, b: float, p1: float, p2: float) -> tuple[float, ...]:
-    """The minimizer of f before clamping, and the `_star_parts` it came from.
+    """The minimizer of f before clamping, and the `_star_terms` it came from.
 
     Returns (rho, s, m, d_lo, d_hi, delta); rho is 0 when s vanishes.
     `rho_min_oracle` re-derives rho to within its bracket width 1e-10.
-    Raises DomainError when the root is NaN: s and m both overflow and
-    the quotient is inf/inf.
+    Raises DomainError when the root is NaN: s and m overflow (inf/inf),
+    or an overflowed product meets a zero power (m and delta are NaN).
     """
-    s, m, d_lo, d_hi, delta = _star_parts(a, b, p1, p2)
-    if s <= _DEGENERATE_S:
-        return 0.0, s, m, d_lo, d_hi, delta
+    s, m, d_lo, d_hi, delta = _star_terms(a, b, p1, p2)
     rho = _rho_root(s, m, delta)
     if math.isnan(rho):
         raise DomainError(
-            f"rho* = 2s / (m + sqrt(delta)) is inf/inf: s = {s} and m = {m} "
-            f"overflow at a={a}, b={b}, p1={p1}, p2={p2}"
+            f"rho* = 2s / (m + sqrt(delta)) is {2.0 * s}/{m + math.sqrt(delta)}: "
+            f"s = {s} and m = {m} overflow at a={a}, b={b}, p1={p1}, p2={p2}"
         )
     return rho, s, m, d_lo, d_hi, delta
 
@@ -281,10 +286,9 @@ def sato_upper_bound(gains: ChannelGains, budget: PowerBudget) -> SatoEvaluation
     a, b = gains.a, gains.b
     p1, p2 = budget.p1_max, budget.p2_max
     raw, s, m, d_lo, d_hi, delta = _minimizer(a, b, p1, p2)
-    if raw >= 1.0 - _RHO_EDGE:
-        f_at = _f_at_star_cancelled(a, b, p1, p2, s, m, d_lo, d_hi, raw)
-    else:
+    if _direct(raw):
         f_at = _f_value(a, b, p1, p2, raw)
-    final = pos_part(min(f_at, gauss_cap(p1)))
+    else:
+        f_at = _f_at_star_cancelled(a, b, p1, p2, s, m, d_lo, d_hi, raw)
     rho = NoiseCorrelation(min(raw, _RHO_CLAMP))
-    return SatoEvaluation(rho, f_at, RateValue(final), delta)
+    return SatoEvaluation(rho, f_at, RateValue(_final_bound(f_at, p1)), delta)

@@ -149,3 +149,8 @@ def _square(x: float, name: str) -> float:
         return math.pow(x, 2.0)
     except OverflowError:
         raise DomainError(f"{name} overflows the float range (squaring {x!r})") from None
+
+
+def _where(test, x, y):
+    """`x` if `test` else `y`: the float stand-in for `np.where`."""
+    return x if test else y

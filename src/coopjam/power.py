@@ -48,6 +48,7 @@ from .model import (
     RateValue,
     _require_finite,
     _square,
+    _where,
     pos_part,
 )
 
@@ -107,20 +108,12 @@ def critical_powers(gains: ChannelGains, budget: PowerBudget) -> CriticalPowers:
     if a * b >= 1.0:
         raise DomainError(f"p2_star is defined only for a*b < 1, got a*b = {a * b}")
     p1_star = b - 1.0
-    if b == 0.0:
-        p2_star = math.inf
-    else:
-        real, root = _p2_star_terms(a, b, budget.p1_max)
-        p2_star = root if real else math.nan
+    p2_star = math.inf if b == 0.0 else _p2_star_terms(a, b, budget.p1_max)
     return CriticalPowers(p1_star, p2_star)
 
 
-def _where(test, x, y):
-    return x if test else y
-
-
-def _p2_star_terms(a, b, pb1, sqrt=math.sqrt, square=_square, maximum=max, where=_where):
-    """Whether p2_star exists, and the root it takes when it does.
+def _p2_star_terms(a, b, pb1, sqrt=math.sqrt, square=_square, where=_where):
+    """p2_star, or NaN where it does not exist.
 
     p2_star is the larger root of (1 - ab) x^2 - 2(a - 1) x - c/b, where
     c = a - b + (1 - b) a pb1, and exists where R = (a - 1)^2 + (1/b - a) c
@@ -128,16 +121,16 @@ def _p2_star_terms(a, b, pb1, sqrt=math.sqrt, square=_square, maximum=max, where
     the plain numerator a - 1 + sqrt(R) would lose more than a bit, so
     the conjugate c / (b (sqrt(R) + 1 - a)) is taken; either is as exact
     as the root's conditioning, about 2^-53 / (1 - ab), up to a*b = 1.
-    Float or array inputs, with `sqrt`, `square`, `maximum` and `where`
-    to match; defined for b > 0 and a*b < 1.  Nothing is checked.
+    Float or array inputs, with `sqrt`, `square` and `where` to match;
+    defined for b > 0 and a*b < 1.  Nothing is checked.
     """
     c = a - b + (1.0 - b) * a * pb1
     radicand = square(a - 1.0, "(a - 1)^2 in p2_star") + (1.0 / b - a) * c
-    root = sqrt(maximum(radicand, 0.0))
+    root = sqrt(where(radicand < 0.0, 0.0, radicand))
     num = a - 1.0 + root
     plain = num >= 1.0 - a
     p2_star = where(plain, num, c) / where(plain, 1.0 - a * b, b * (root + 1.0 - a))
-    return radicand >= -_RADICAND_TOL, p2_star
+    return where(radicand >= -_RADICAND_TOL, p2_star, math.nan)
 
 
 def _allocation_cases(a, b, pb1, pb2, regime_i, minimum=min):

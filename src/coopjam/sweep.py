@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .achievable import BranchLabel, achievable_rate
-from .bound import SOUNDNESS_TOL, sato_upper_bound
+from .bound import _unsound, sato_upper_bound
 from .model import (
     ChannelGains,
     DomainError,
@@ -129,7 +129,7 @@ def _scalar_row(spec: SweepSpec, x: float) -> SweepRow:
         alloc = PowerAllocation(spec.budget.p1_max, spec.budget.p2_max)
         rate, branch = achievable_rate(gains, alloc)
     upper = sato_upper_bound(gains, spec.budget).final_bound
-    if rate.value > upper.value + SOUNDNESS_TOL:
+    if _unsound(rate.value, upper.value):
         raise InvariantViolation(
             f"achievable {rate.value} exceeds bound {upper.value} at x={x}"
         )

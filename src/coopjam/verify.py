@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .achievable import Thresholds, achievable_rate, wiretap_capacity
-from .bound import SOUNDNESS_TOL, rho_min_oracle, rho_star, sato_f, sato_upper_bound
+from .bound import _unsound, rho_min_oracle, rho_star, sato_f, sato_upper_bound
 from .model import ChannelGains, DomainError, PowerAllocation, PowerBudget
 from .power import (
     _GRID_STEPS,
@@ -94,7 +94,7 @@ def soundness_check(n_samples: int, seed: int) -> CheckResult:
         )
         rate, _ = achievable_rate(gains, alloc)
         upper = sato_upper_bound(gains, budget).final_bound
-        if rate.value > upper.value + SOUNDNESS_TOL:
+        if _unsound(rate.value, upper.value):
             result.violations.append(
                 f"rate {rate.value} > bound {upper.value} at {gains}, {alloc}"
             )

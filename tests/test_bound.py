@@ -6,7 +6,7 @@ import pytest
 from coopjam.bound import (
     NoiseCorrelation,
     _f_at_star_cancelled,
-    _star_parts,
+    _star_terms,
     rho_min_oracle,
     rho_star,
     sato_f,
@@ -85,7 +85,7 @@ class TestRhoStar:
         for _ in range(300):
             a, b = rng.uniform(0.05, 5.0, size=2)
             p1, p2 = rng.uniform(0.01, 10.0, size=2)
-            s, m, _, _, delta = _star_parts(a, b, p1, p2)
+            s, m, _, _, delta = _star_terms(a, b, p1, p2)
             quoted = (m - math.sqrt(delta)) / (2.0 * s)
             star = rho_star(ChannelGains(a, b), PowerAllocation(p1, p2))
             assert star.rho == pytest.approx(quoted, abs=1e-9)
@@ -189,7 +189,7 @@ class TestSatoUpperBound:
         for _ in range(200):
             a, b = rng.uniform(0.05, 5.0, size=2)
             p1, p2 = rng.uniform(0.05, 10.0, size=2)
-            s, m, d_lo, d_hi, delta = _star_parts(a, b, p1, p2)
+            s, m, d_lo, d_hi, delta = _star_terms(a, b, p1, p2)
             raw_rho = 2.0 * s / (m + math.sqrt(delta))
             if raw_rho >= 1.0 - 1e-6:
                 continue
@@ -245,6 +245,21 @@ def test_overflowing_rho_root_is_a_domain_error(capsys):
     err = capsys.readouterr().err
     assert "s = inf and m = inf overflow at a=4.44e+252" in err
     assert "rho must lie" not in err
+
+
+def test_nan_discriminant_is_the_overflow_domain_error(capsys):
+    # (sqrt(ab) - 1)^2 * p1 overflows and p2 = 0, so m and the
+    # discriminant are inf * 0 = NaN: an overflow, not an internal bug.
+    from coopjam.cli import main
+
+    gains = ChannelGains(1e200, 1e-100)
+    with pytest.raises(DomainError, match="inf/nan: s = inf and m = nan"):
+        sato_upper_bound(gains, PowerBudget(1e300, 0.0))
+    with pytest.raises(DomainError, match="inf/nan: s = inf and m = nan"):
+        rho_star(gains, PowerAllocation(1e300, 0.0))
+    argv = ["bound", "--a", "1e200", "--b", "1e-100", "--pbar1", "1e300", "--pbar2", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_infinite_m_with_finite_s_still_answers():

@@ -183,6 +183,10 @@ _EQUIVALENCE_CURVES = [
     SweepSpec("b", 0.0, 4.0, 8, _B2, 0.5),
     SweepSpec("a", 0.7, 0.7, 5, _B2, 1.3),
     SweepSpec("b", 0.5, 2.5, 1, _B2, 0.6),
+    # s = sqrt(a) P1 + sqrt(b) P2 rises through rho* = 0's cutoff 1e-12
+    # near a = 1e-18 (b = 1e-18 below), after rows with 0 < s <= 1e-12.
+    SweepSpec("a", 0.0, 4e-18, 8, PowerBudget(1e-3, 0.0), 0.5),
+    SweepSpec("b", 0.0, 4e-18, 8, PowerBudget(1e-16, 1e-3), 2.0),
 ]
 
 
@@ -199,9 +203,30 @@ def test_rows_equal_the_scalar_path_row_by_row():
     assert max(rhos) >= 1.0 - 1e-9
 
 
+def test_columns_read_only_their_own_numeric_constants():
+    # A tolerance borrowed from achievable, bound or power would restate
+    # that module's rule here; the columns call its owner instead.
+    import ast
+    import inspect
+
+    from coopjam import _columns
+
+    tree = ast.parse(inspect.getsource(_columns))
+    own = {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
+    numeric = {name for name, value in vars(_columns).items() if type(value) in (int, float)}
+    assert numeric <= own
+
+
 def test_overflowing_square_in_a_sweep_is_a_domain_error():
     spec = SweepSpec("a", 0.0, 1e200, 400, PowerBudget(1e200, 1e200), 0.5)
     with pytest.raises(DomainError, match=r"\(rho \+ s\)\^2"):
+        run_sweep(spec)
+
+
+def test_nan_discriminant_in_a_sweep_is_a_domain_error():
+    # From the second row on, m and the discriminant are inf * 0 = NaN.
+    spec = SweepSpec("a", 0.0, 1e250, 400, PowerBudget(1e300, 0.0), 1e-100)
+    with pytest.raises(DomainError, match="inf/nan: s = inf and m = nan"):
         run_sweep(spec)
 
 
