@@ -11,11 +11,11 @@ full-budget bound.  The columns reuse the very formulas of the scalar
 functions, which take their `sqrt`, `log2` and square as arguments, so
 every value is bit-identical to `optimal_allocation`, `achievable_rate`
 and `sato_upper_bound` at that abscissa.  The rule that makes it exact:
-NumPy does only correctly rounded operations (+, -, *, /, sqrt),
-comparisons and selection, in the scalar code's expression order, and
-every log2 and square goes through libm (`math.log2`, `math.pow`) one
-element at a time, because NumPy's log2 and x ** 2 round differently
-from libm in about 0.1% of inputs.
+NumPy does only correctly rounded operations (+, -, *, /, sqrt, and
+each square as x * x, as the scalar `_square` does), comparisons and
+selection, in the scalar code's expression order.  Only log2 goes
+through libm (`math.log2`), one element at a time, because NumPy's
+log2 rounds differently from libm in about 0.1% of inputs.
 
 The columns restate no rule or tolerance of the scalar path.  Each has
 one owner, called here with column stand-ins for `min`, `sqrt`, `log2`,
@@ -32,7 +32,6 @@ replays those through the scalar functions.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -45,32 +44,23 @@ from .sweep import PowerMode, SweepSpec, _gain_pair
 
 # Column stand-ins for the scalar helpers the formulas take as arguments.
 # min mirrors Python's: the first argument unless the second is strictly
-# smaller.  A libm function that would raise returns NaN instead, which
-# flags its row for replay.
+# smaller.  Where the scalar helper would raise, the stand-in gives NaN
+# instead, which flags its row for replay.
 
 def _minimum(x, y):
     return np.where(y < x, y, x)
 
 
-def _each(fn, x, *args):
-    """fn(element, *args) through libm, one element at a time, shape kept."""
+def _log2(x):
+    """math.log2 one element at a time, shape kept; NaN where x <= 0."""
     v = np.asarray(x, dtype=float)
-    values = map(fn, v.ravel().tolist(), *map(repeat, args))
+    values = map(math.log2, np.where(v > 0.0, v, np.nan).ravel().tolist())
     return np.fromiter(values, float, v.size).reshape(v.shape)
 
 
-def _log2(x):
-    v = np.asarray(x, dtype=float)
-    return _each(math.log2, np.where(v > 0.0, v, np.nan))
-
-
-# libm pow(x, 2) may overflow from here on; math.pow would then raise.
-_SQUARE_LIMIT = 1e154
-
-
 def _square(x, name=None):
-    v = np.asarray(x, dtype=float)
-    return _each(math.pow, np.where(np.abs(v) < _SQUARE_LIMIT, v, np.nan), 2.0)
+    square = x * x
+    return np.where(np.isinf(square), np.nan, square)
 
 
 def _allocation_columns(a, b, pb1, pb2):

@@ -141,14 +141,14 @@ def pos_part(x: float) -> float:
 
 
 def _square(x: float, name: str) -> float:
-    """x ** 2 through libm pow, exactly as Python's `x ** 2` (not x * x).
+    """x * x, which IEEE multiplication rounds correctly (libm's pow may not).
 
-    An overflow is a DomainError that names the quantity `name`.
+    A finite x whose square overflows is a DomainError that names `name`.
     """
-    try:
-        return math.pow(x, 2.0)
-    except OverflowError:
-        raise DomainError(f"{name} overflows the float range (squaring {x!r})") from None
+    square = x * x
+    if math.isinf(square) and math.isfinite(x):
+        raise DomainError(f"{name} overflows the float range (squaring {x!r})")
+    return square
 
 
 def _where(test, x, y):

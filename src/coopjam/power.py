@@ -318,16 +318,16 @@ def asymptotic_rate(gains: ChannelGains) -> RateValue:
         if b > 1.0:
             value = 0.5 * math.log2(b)
         elif a * b < 1.0:
-            value = 0.5 * math.log2(1.0 / (a * b))
+            value = _half_log2_inverse(a, b)
         else:
             value = 0.0
     else:
         if a * b > 1.0:
             value = 0.5 * math.log2(b)
         elif b < 1.0:
-            value = 0.5 * math.log2(1.0 / (a * b))
+            value = _half_log2_inverse(a, b)
         else:
-            value = 0.5 * math.log2(1.0 / a)
+            value = _half_log2_inverse(a)
     return RateValue(value)
 
 
@@ -336,4 +336,10 @@ def wiretap_asymptotic_rate(a: float) -> RateValue:
     a = _require_finite("gain a", a)
     if a == 0.0:
         return RateValue(math.inf)
-    return RateValue(pos_part(0.5 * math.log2(1.0 / a)))
+    return RateValue(_half_log2_inverse(a))
+
+
+def _half_log2_inverse(*gains: float) -> float:
+    """(1/2) log2(1 / product of `gains`), clipped at 0, as -(1/2) times the
+    sum of their log2, so that no product or reciprocal leaves the float range."""
+    return pos_part(-0.5 * sum(map(math.log2, gains)))

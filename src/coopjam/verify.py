@@ -12,6 +12,7 @@ so importing this module (as `coopjam.cli` does) does not load NumPy.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -137,7 +138,7 @@ def rho_star_check(n_points: int, seed: int) -> CheckResult:
         while True:
             gains = _random_gains(rng)
             alloc = PowerAllocation(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
-            s = gains.a**0.5 * alloc.p1 + gains.b**0.5 * alloc.p2
+            s = math.sqrt(gains.a) * alloc.p1 + math.sqrt(gains.b) * alloc.p2
             if s > 1e-3:
                 break
         star = rho_star(gains, alloc)

@@ -74,3 +74,10 @@ def rate(a, b, p1, p2, digits=DIGITS):
         k = next((k for k, test in enumerate(tests) if test), 3)
         value = rate_terms(a, b, p1, p2, digits)[k]
         return max(value, Decimal(0))
+
+
+def half_log2_inverse(*gains, digits=DIGITS):
+    """(1/2) log2(1 / product of `gains`): the power-unconstrained limits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return -sum(x.ln() for x in _dec(*gains)) / (2 * Decimal(2).ln())

@@ -302,6 +302,20 @@ class TestAsymptoticRate:
         assert wiretap_asymptotic_rate(2.0).value == 0.0
         assert wiretap_asymptotic_rate(0.0).unbounded
 
+    @pytest.mark.parametrize(
+        "limit, gains",
+        [
+            (lambda: asymptotic_rate(ChannelGains(1e-200, 1e-200)), (1e-200, 1e-200)),
+            (lambda: asymptotic_rate(ChannelGains(1e-320, 0.5)), (1e-320, 0.5)),
+            (lambda: wiretap_asymptotic_rate(1e-320), (1e-320,)),
+        ],
+        ids=["ab-underflows", "1/(ab)-overflows", "1/a-overflows"],
+    )
+    def test_tiny_gains_have_finite_limits(self, limit, gains):
+        # The product or reciprocal leaves the float range; the limit does not.
+        want = float(ref.half_log2_inverse(*gains))
+        assert abs(limit().value - want) <= math.ulp(want)
+
 
 def test_negative_p2_star_is_an_invariant_violation(monkeypatch, capsys):
     # The a >= 1 jamming case takes p2_star; a negative one is a bug that
