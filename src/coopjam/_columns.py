@@ -23,7 +23,8 @@ the square and `where`: the interval tests, branch codes and labels and
 the misselection test (`achievable._conditions`, `_branch_code`,
 `_LABELS`, `_misselected`), p2_star (`power._p2_star_terms`), and
 rho_star, when f(rho_star) is evaluated directly, the final bound and
-soundness (`bound._rho_root`, `_direct`, `_final_bound`, `_unsound`).
+soundness (`bound._rho_root`, `_direct`, `_final_bound`, `_unsound`),
+and which values a RateValue accepts (`model._valid_rate`).
 
 Each block also names the rows the columns cannot vouch for; `sweep`
 replays those through the scalar functions.
@@ -38,6 +39,7 @@ import numpy as np
 
 from .achievable import _LABELS, _branch_code, _cap, _conditions, _misselected, _term_snrs
 from .bound import _direct, _f_log_arg, _final_bound, _rho_root, _star_terms, _unsound
+from .model import _valid_rate
 from .power import _allocation_cases, _p2_star_terms
 from .sweep import PowerMode, SweepSpec, _gain_pair
 
@@ -118,8 +120,8 @@ def column_blocks(spec: SweepSpec) -> Iterator[tuple]:
     Each block is (x, rate, bound, p1, p2, labels, replay): Python lists
     of the abscissae, the rate and bound values and the powers, an
     iterator over the branch labels, then the ascending indices of the
-    rows to replay, which hold placeholders.  A degenerate range
-    (start == end) is a single row.
+    rows to replay, whose values the columns do not vouch for.  A
+    degenerate range (start == end) is a single row.
     """
     if spec.start == spec.end:
         x = np.array([spec.start])
@@ -146,9 +148,8 @@ def _block_columns(spec: SweepSpec, x: np.ndarray) -> tuple:
         rate, code, bad_rate = _rate_columns(a, b, p1, p2)
         bound, bad_bound = _bound_columns(a, b, pb1, pb2)
         replay = replay | bad_rate | bad_bound | _unsound(rate, bound)
-    # Placeholders in the rows to replay; RateValue would reject some values.
-    rate = np.where(replay, 0.0, rate)
-    bound = np.where(replay, 0.0, bound)
+        # No RateValue is built from a column value, so its rule runs here.
+        replay |= ~_valid_rate(rate) | ~_valid_rate(bound)
     return (
         x.tolist(),
         rate.tolist(),

@@ -113,9 +113,9 @@ class RateValue:
 
     def __post_init__(self) -> None:
         x = _real("rate", self.value)
-        if math.isnan(x):
-            raise DomainError("rate must not be NaN")
-        if x < 0.0:
+        if not _valid_rate(x):
+            if math.isnan(x):
+                raise DomainError("rate must not be NaN")
             raise DomainError(f"rate must be >= 0, got {x}")
         object.__setattr__(self, "value", x)
 
@@ -123,6 +123,11 @@ class RateValue:
     def unbounded(self) -> bool:
         """True when the represented rate grows without bound."""
         return math.isinf(self.value)
+
+
+def _valid_rate(x):
+    """Where `x` may be a RateValue: not NaN and >= 0; float or array `x`."""
+    return x >= 0.0
 
 
 def gauss_cap(x: float) -> float:

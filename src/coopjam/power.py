@@ -211,6 +211,8 @@ def _rate_grid(a: float, b: float, p1: np.ndarray, p2: np.ndarray) -> np.ndarray
     # tested once, on its own vector; the other power, 0.0, goes unread.
     _, decode, joint, _ = _conditions(a, b, p1, 0.0)
     zero = _conditions(a, b, 0.0, p2)[0]
+    if zero.all():  # a >= 1 + max(p2): every cell is 0, so take no log2
+        return np.zeros((len(p1), len(p2)))
     row_term = np.where(decode, 0, np.where(joint, 1, 3))
     rates = np.empty((len(p1), len(p2)))
     rows = max(1, _GRID_BLOCK_CELLS // max(len(p2), 1))

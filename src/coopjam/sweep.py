@@ -18,7 +18,13 @@ it: when its bound takes the cancelled form (rho* >= 1 - 1e-9), when a
 value is non-finite or a square overflows, or when it fails a check
 that raises in the scalar path (an invariant, a RateValue check, soundness).  Those
 rows replay in ascending abscissa, so a sweep raises exactly what the
-row-by-row evaluation raises.
+row-by-row evaluation raises, and the replayed values are written back
+into the columns.
+
+`run_sweep` returns the columns themselves, as a `SweepTable`: an
+immutable sequence of rows that builds each `SweepRow` when it is read,
+so a sweep makes no row object that nobody reads.  `render_csv` formats
+straight from those columns.
 
 CSV output is byte-deterministic: fixed header, 12 significant digits,
 '.' decimal separator, LF line endings, no locale dependence.
@@ -26,6 +32,7 @@ CSV output is byte-deterministic: fixed header, 12 significant digits,
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -136,51 +143,97 @@ def _scalar_row(spec: SweepSpec, x: float) -> SweepRow:
     return SweepRow(x, rate, upper, alloc.p1, alloc.p2, branch)
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+def _row(x, rate, bound, p1, p2, branch) -> SweepRow:
+    """The row whose column values are these; `_fields` inverts it."""
+    return SweepRow(x, RateValue(rate), RateValue(bound), p1, p2, branch)
+
+
+def _fields(row: SweepRow) -> tuple:
+    """The column values of `row`, in column order."""
+    return (row.x, row.achievable.value, row.upper_bound.value, row.p1, row.p2, row.branch)
+
+
+class SweepTable(Sequence):
+    """The rows of a sweep, held as columns: an immutable Sequence[SweepRow].
+
+    Reading a row builds a `SweepRow` equal to the one the scalar
+    functions give at its abscissa; a slice is a list of rows.  A table
+    equals another table, or a list, with equal rows, as a list of rows
+    does.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: tuple) -> None:
+        # x, rate, bound, p1, p2 and branch: six lists of equal length.
+        object.__setattr__(self, "_columns", columns)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a SweepTable is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("a SweepTable is immutable")
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return _row(*[column[i] for column in self._columns])
+
+    def __iter__(self):
+        return map(_row, *self._columns)
+
+    def __eq__(self, other):
+        if isinstance(other, SweepTable):
+            return self._columns == other._columns
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate `spec`, returning steps+1 rows in ascending abscissa.
 
+    The rows come as a `SweepTable`, an immutable sequence: it has no
+    `append` and takes no item assignment, and a slice of it is a list.
     A degenerate range (start == end) collapses to the single row the
     single-point commands would produce.
     """
     from ._columns import column_blocks  # imports NumPy on the first sweep
 
-    rows: list[SweepRow] = []
-    for columns in column_blocks(spec):
-        rows += _block_rows(spec, columns)
-    return rows
+    columns: tuple = ([], [], [], [], [], [])
+    for *block, replay in column_blocks(spec):
+        start = len(columns[0])
+        for column, values in zip(columns, block):
+            column += values
+        # In ascending abscissa, so the first row that raises is the one the
+        # row-by-row evaluation would raise at.
+        for k in (start + i for i in replay):
+            for column, value in zip(columns, _fields(_scalar_row(spec, columns[0][k]))):
+                column[k] = value
+    return SweepTable(columns)
 
 
-def _block_rows(spec: SweepSpec, columns: tuple) -> list[SweepRow]:
-    """The rows of one block of columns, with the flagged rows replayed."""
-    xs, rate, bound, p1, p2, labels, replay = columns
-    zero = RateValue(0.0)  # immutable, so the zero-rate rows share it
-    rows = list(
-        map(
-            SweepRow,
-            xs,
-            [zero if v == 0.0 else RateValue(v) for v in rate],
-            [zero if v == 0.0 else RateValue(v) for v in bound],
-            p1,
-            p2,
-            labels,
-        )
-    )
-    # In ascending abscissa, so the first row that raises is the one the
-    # row-by-row evaluation would raise at.
-    for i in replay:
-        rows[i] = _scalar_row(spec, xs[i])
-    return rows
+def _columns_of(rows: Sequence[SweepRow]) -> tuple:
+    """The six columns of `rows`: a table's own, or a list's transposed."""
+    if isinstance(rows, SweepTable):
+        return rows._columns
+    return tuple(map(list, zip(*map(_fields, rows)))) or ([], [], [], [], [], [])
 
 
-def render_csv(rows: list[SweepRow]) -> str:
-    """Serialize rows to the fixed CSV schema (trailing newline included)."""
+def render_csv(rows: Sequence[SweepRow]) -> str:
+    """Serialize rows to the fixed CSV schema (trailing newline included).
+
+    `rows` is a `SweepTable`, formatted straight from its columns, or
+    any other sequence of `SweepRow`s, transposed into columns first.
+    """
+    x, rate, bound, p1, p2, branch = _columns_of(rows)
     # Rows share a few label objects; keyed by identity, since hashing a
     # BranchLabel costs more than formatting the rest of its row.
-    labels = {id(r.branch): r.branch for r in rows}
-    text = {key: str(branch) for key, branch in labels.items()}
+    labels = dict(zip(map(id, branch), branch))
+    text = {key: str(label) for key, label in labels.items()}
+    names = map(text.__getitem__, map(id, branch))
     line = "%.12g,%.12g,%.12g,%.12g,%.12g,%s".__mod__
-    body = [
-        line((r.x, r.achievable.value, r.upper_bound.value, r.p1, r.p2, text[id(r.branch)]))
-        for r in rows
-    ]
-    return "\n".join([CSV_HEADER, *body, ""])
+    return "\n".join([CSV_HEADER, *map(line, zip(x, rate, bound, p1, p2, names)), ""])

@@ -19,6 +19,7 @@ from coopjam.model import (
     PowerBudget,
     RateValue,
     _square,
+    _valid_rate,
     gauss_cap,
     pos_part,
 )
@@ -99,6 +100,26 @@ def test_rate_value_contract():
         RateValue(-1e-6)
     with pytest.raises(DomainError):
         RateValue(math.nan)
+
+
+_RATE_RULE = [(math.nan, False), (-0.0, True), (-1e-300, False), (0.0, True), (math.inf, True)]
+
+
+@pytest.mark.parametrize("value, valid", _RATE_RULE, ids=["nan", "-0", "-1e-300", "0", "inf"])
+def test_rate_value_raises_exactly_where_its_rule_rejects(value, valid):
+    # The sweep's columns apply the same owner to arrays instead of
+    # building a RateValue per row.
+    assert _valid_rate(value) is valid
+    if valid:
+        assert repr(RateValue(value).value) == repr(value)
+    else:
+        with pytest.raises(DomainError, match="^rate must "):
+            RateValue(value)
+
+
+def test_rate_rule_takes_arrays():
+    values, valid = zip(*_RATE_RULE)
+    assert _valid_rate(np.array(values)).tolist() == list(valid)
 
 
 def test_types_are_immutable():

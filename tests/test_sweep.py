@@ -1,7 +1,11 @@
+import collections.abc
+import hashlib
 import math
+import random
 
 import pytest
 
+from coopjam._columns import column_blocks
 from coopjam.achievable import BranchLabel, Regime, achievable_rate
 from coopjam.bound import sato_upper_bound
 from coopjam.model import (
@@ -17,6 +21,7 @@ from coopjam.sweep import (
     PowerMode,
     SweepRow,
     SweepSpec,
+    _scalar_row,
     render_csv,
     run_sweep,
 )
@@ -243,3 +248,81 @@ def test_csv_renders_special_values_like_format_specs():
         "1e-300,1e+300,inf,-0,2.5e-07,ZERO-1\n"
         "1e+300,0.333333333333,1.23456789012e+14,0.1,1e+16,II-4\n"
     )
+
+
+# Crosses one block of columns (_columns._BLOCK_ROWS) and ends on a
+# replayed row (a = b = 1).
+_ACROSS_BLOCKS = SweepSpec("a", 0.0, 1.0, 5000, _B2, symmetric=True)
+
+
+def _replayed(spec):
+    """The indices of `spec`'s rows that the columns leave to the scalar path."""
+    out, start = [], 0
+    for x, *_, replay in column_blocks(spec):
+        out += [start + i for i in replay]
+        start += len(x)
+    return out
+
+
+def _golden_curves():
+    rng = random.Random(17)
+    curves = [_ACROSS_BLOCKS]
+    while sum(spec.steps + 1 for spec in curves) < 197_028:
+        lo, hi = sorted(rng.uniform(0.0, 4.0) for _ in range(2))
+        budget = PowerBudget(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0))
+        curves.append(
+            SweepSpec(
+                rng.choice("ab"), lo, hi, rng.randrange(1, 12_000), budget, rng.uniform(0.05, 3.0),
+                symmetric=rng.random() < 0.2, power_mode=rng.choice(list(PowerMode)),
+            )
+        )
+    return curves
+
+
+def test_csv_of_many_rows_is_golden():
+    # 35 curves, 197,888 rows; the digest was taken from the row-object
+    # sweep, which built a SweepRow per row and rendered from those.
+    assert _replayed(_ACROSS_BLOCKS)[-1] == 5000
+    digest = hashlib.sha256()
+    for spec in _golden_curves():
+        table = run_sweep(spec)
+        text = render_csv(table)
+        assert text == render_csv(list(table)), spec
+        digest.update(text.encode())
+    assert digest.hexdigest() == "df8b5909937b127ab21118da2549b2f88de132e569f31184ae626bd63cd90b94"
+
+
+def test_sweep_table_is_an_immutable_sequence_of_rows():
+    table = run_sweep(_ACROSS_BLOCKS)
+    rows = [table[k] for k in range(len(table))]
+    assert isinstance(table, collections.abc.Sequence)
+    assert len(table) == 5001 and list(table) == rows
+    assert table[-1] == rows[5000] and table[-5001] == rows[0]
+    for past in (5001, -5002):
+        with pytest.raises(IndexError):
+            table[past]
+    assert table[4090:4100] == rows[4090:4100] and type(table[4090:4100]) is list
+    assert table[::-1000] == rows[::-1000]
+
+    with pytest.raises(TypeError):
+        table[0] = rows[1]
+    with pytest.raises(TypeError):
+        del table[0]
+    assert not hasattr(table, "append")
+    for name in ("_columns", "rows"):
+        with pytest.raises(AttributeError):
+            setattr(table, name, [])
+    with pytest.raises(AttributeError):
+        del table._columns
+    with pytest.raises(TypeError):
+        hash(table)
+
+    again = run_sweep(_ACROSS_BLOCKS)
+    assert table == again and table == rows and rows == table
+    assert table != rows[:-1] and table != run_sweep(symmetric_spec(steps=5000))
+    assert table != tuple(rows)  # as a list of rows is not
+
+    replayed = _replayed(_ACROSS_BLOCKS)
+    assert replayed
+    for k in replayed:
+        assert table[k] == _scalar_row(_ACROSS_BLOCKS, table[k].x)
