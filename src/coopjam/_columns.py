@@ -100,7 +100,7 @@ def _rate_columns(a, b, p1, p2):
 
 def _bound_columns(a, b, pb1, pb2):
     """final_bound of `sato_upper_bound` per row, and the rows to replay."""
-    s, m, _, _, delta = _star_terms(a, b, pb1, pb2, np.sqrt, _square)
+    s, m, _, _, delta = _star_terms(a, b, pb1, pb2, np.sqrt, _square, np.where)
     rho = _rho_root(s, m, delta, np.sqrt, np.where)
     num, arg = _f_log_arg(a, b, pb1, pb2, rho, np.sqrt, _square)
     f_at = 0.5 * _log2(arg)

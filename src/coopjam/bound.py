@@ -130,16 +130,18 @@ def _f_log_arg(a, b, p1, p2, r, sqrt=math.sqrt, square=_square):
     return num, num / ((1.0 - r * r) * eave)
 
 
-def _star_terms(a, b, p1, p2, sqrt=math.sqrt, square=_square):
+def _star_terms(a, b, p1, p2, sqrt=math.sqrt, square=_square, where=_where):
     """s, m, the two discriminant factors and delta, for float or array inputs.
 
     The factors equal m - 2s and m + 2s but are computed as sums of
-    nonnegative products, so delta = lo * hi is >= 0 by construction, or
-    NaN where an overflowed product meets a zero power.  Nothing is checked.
+    nonnegative products, so delta = lo * hi is >= 0 by construction.  The
+    cross term (sqrt(ab) - 1)^2 p1 p2 is 0 where either power is, also
+    where a*b overflows, so it is never inf * 0 = NaN.  Nothing is checked.
     """
     ra, rb = sqrt(a), sqrt(b)
     s = ra * p1 + rb * p2
     cross = square(sqrt(a * b) - 1.0, "(sqrt(a*b) - 1)^2 in the bound") * p1 * p2
+    cross = where((p1 == 0.0) | (p2 == 0.0), 0.0, cross)
     m = (1.0 + a) * p1 + (1.0 + b) * p2 + cross
     d_lo = (
         square(ra - 1.0, "(sqrt(a) - 1)^2 in the bound") * p1
@@ -181,8 +183,7 @@ def _minimizer(a: float, b: float, p1: float, p2: float) -> tuple[float, ...]:
 
     Returns (rho, s, m, d_lo, d_hi, delta); rho is 0 when s vanishes.
     `rho_min_oracle` re-derives rho to within its bracket width 1e-10.
-    Raises DomainError when the root is NaN: s and m overflow (inf/inf),
-    or an overflowed product meets a zero power (m and delta are NaN).
+    Raises DomainError when the root is NaN: s and m overflow (inf/inf).
     """
     s, m, d_lo, d_hi, delta = _star_terms(a, b, p1, p2)
     rho = _rho_root(s, m, delta)

@@ -18,8 +18,10 @@ candidates, so agreement is not limited by lattice resolution).
 
 The lattice evaluates each cell's rate term only where its tests select
 it.  The decode-first and joint tests read p1 alone, so they hold for
-whole rows; the ZERO test reads p2 alone and holds for whole columns;
-only the cancel-free test (b >= beta2, regime II) is decided per cell,
+whole rows; the ZERO test reads p2 alone and holds for whole columns,
+which are never evaluated: they are a prefix of the ascending p2 the
+oracle passes, and are set to 0 at once.  Only the cancel-free test
+(b >= beta2, regime II) is decided per cell,
 between treat-as-noise and the row's cancel-free value.  Every cell gets
 the bits of the scalar terms evaluated with `np.log2`: the same
 expression on the same operands, and `np.log2` always on a fresh
@@ -202,6 +204,11 @@ def _rate_grid(a: float, b: float, p1: np.ndarray, p2: np.ndarray) -> np.ndarray
     same operands as evaluating every term on the whole lattice would,
     so the bits match that evaluation.  Returns a (len(p1), len(p2))
     array.
+
+    `p2` should ascend, as `grid_search_allocation` passes it: the ZERO
+    columns (a >= 1 + p2) are then a prefix, which is filled with 0 and
+    never evaluated.  Any order gives the same array; ZERO columns after
+    the first other one are evaluated, then zeroed.
     """
     import numpy as np
 
@@ -211,14 +218,17 @@ def _rate_grid(a: float, b: float, p1: np.ndarray, p2: np.ndarray) -> np.ndarray
     # tested once, on its own vector; the other power, 0.0, goes unread.
     _, decode, joint, _ = _conditions(a, b, p1, 0.0)
     zero = _conditions(a, b, 0.0, p2)[0]
+    rates = np.zeros((len(p1), len(p2)))
     if zero.all():  # a >= 1 + max(p2): every cell is 0, so take no log2
-        return np.zeros((len(p1), len(p2)))
+        return rates
+    start = int(np.argmin(zero))  # the first column that is not ZERO
     row_term = np.where(decode, 0, np.where(joint, 1, 3))
-    rates = np.empty((len(p1), len(p2)))
-    rows = max(1, _GRID_BLOCK_CELLS // max(len(p2), 1))
+    rows = max(1, _GRID_BLOCK_CELLS // (len(p2) - start))
     for i in range(0, len(p1), rows):
         block = slice(i, i + rows)
-        _rate_block(a, b, p1[block], p2, row_term[block], zero, rates[block])
+        _rate_block(
+            a, b, p1[block], p2[start:], row_term[block], zero[start:], rates[block, start:]
+        )
     return rates
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .achievable import BranchLabel, achievable_rate
 from .bound import _unsound, sato_upper_bound
@@ -59,6 +60,10 @@ __all__ = [
 ]
 
 CSV_HEADER = "x,achievable_rate,upper_bound,p1,p2,branch"
+
+# render_csv joins this many lines at a time, so that no more than one
+# block's line strings are alive next to the text, whatever the row count.
+_CSV_BLOCK_LINES = 4096
 
 
 class PowerMode(Enum):
@@ -236,4 +241,7 @@ def render_csv(rows: Sequence[SweepRow]) -> str:
     text = {key: str(label) for key, label in labels.items()}
     names = map(text.__getitem__, map(id, branch))
     line = "%.12g,%.12g,%.12g,%.12g,%.12g,%s".__mod__
-    return "\n".join([CSV_HEADER, *map(line, zip(x, rate, bound, p1, p2, names)), ""])
+    lines = map(line, zip(x, rate, bound, p1, p2, names))
+    # No line is empty, so neither is a block until the lines run out.
+    blocks = iter(lambda: "\n".join(islice(lines, _CSV_BLOCK_LINES)), "")
+    return "\n".join([CSV_HEADER, *blocks, ""])

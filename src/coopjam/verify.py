@@ -8,11 +8,16 @@ acceptance test suite; only the sample counts differ.
 
 The generators are NumPy's, imported by `_rng` when a check first draws,
 so importing this module (as `coopjam.cli` does) does not load NumPy.
+A check draws all its samples as one array (`_uniform_rows`), in blocks
+of rows where it rejects some (`_kept_rows`).  NumPy computes
+`rng.uniform(lo, hi)` as lo + (hi - lo) * u from the generator's next
+double u, and so do these, row by row, so every sample has the bits of
+the one-at-a-time `rng.uniform` calls made in the same order, and the
+checks see them as Python floats.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -75,24 +80,51 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _random_gains(rng: np.random.Generator) -> ChannelGains:
-    return ChannelGains(rng.uniform(0.05, 5.0), rng.uniform(0.05, 5.0))
+# The sampling box: gains, budgets and the continuity probes' powers.
+_GAIN = (0.05, 5.0)
+_POWER = (0.1, 10.0)
+# A draw from here is the fraction of a budget a row spends.
+_SHARE = (0.0, 1.0)
 
 
-def _random_budget(rng: np.random.Generator) -> PowerBudget:
-    return PowerBudget(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0))
+def _uniform_rows(rng: np.random.Generator, n: int, ranges) -> np.ndarray:
+    """n rows of `rng.uniform(lo, hi)` for each (lo, hi) of `ranges`, in order.
+
+    Returns an (n, len(ranges)) array whose row-major order is the order
+    of the one-at-a-time draws.  lo + (hi - lo) * u is NumPy's own
+    formula, so the bits are the same too; a share u times a budget P is
+    `rng.uniform(0.0, P)`.
+    """
+    import numpy as np
+
+    lo, hi = np.array(ranges, dtype=float).T
+    return lo + (hi - lo) * rng.random((n, len(ranges)))
+
+
+def _kept_rows(rng: np.random.Generator, n: int, ranges, keep) -> np.ndarray:
+    """The first n rows of `_uniform_rows` whose columns `keep` accepts.
+
+    Blocks of rows are drawn from `rng` until n are kept, so the rows are
+    those a one-row-at-a-time rejection loop would keep, in its order.
+    """
+    import numpy as np
+
+    kept = np.empty((0, len(ranges)))
+    while len(kept) < n:
+        rows = _uniform_rows(rng, n - len(kept), ranges)
+        kept = np.concatenate([kept, rows[keep(*rows.T)]])
+    return kept
 
 
 def soundness_check(n_samples: int, seed: int) -> CheckResult:
     """Every achievable rate at a feasible allocation stays below the bound."""
-    rng = _rng(seed)
+    rows = _uniform_rows(_rng(seed), n_samples, (_GAIN, _GAIN, _POWER, _POWER, _SHARE, _SHARE))
+    rows[:, 4:] *= rows[:, 2:4]
     result = CheckResult("soundness", n_samples)
-    for _ in range(n_samples):
-        gains = _random_gains(rng)
-        budget = _random_budget(rng)
-        alloc = PowerAllocation(
-            rng.uniform(0.0, budget.p1_max), rng.uniform(0.0, budget.p2_max)
-        )
+    for a, b, pb1, pb2, p1, p2 in rows.tolist():
+        gains = ChannelGains(a, b)
+        budget = PowerBudget(pb1, pb2)
+        alloc = PowerAllocation(p1, p2)
         rate, _ = achievable_rate(gains, alloc)
         upper = sato_upper_bound(gains, budget).final_bound
         if _unsound(rate.value, upper.value):
@@ -110,11 +142,11 @@ def power_oracle_check(n_configs: int, seed: int, n_steps: int = _GRID_STEPS) ->
     its own resolution, and must never beat it materially: a grid win
     beyond tolerance would mean the case analysis is not optimal.
     """
-    rng = _rng(seed)
+    rows = _uniform_rows(_rng(seed), n_configs, (_GAIN, _GAIN, _POWER, _POWER))
     result = CheckResult("power-oracle", n_configs)
-    for _ in range(n_configs):
-        gains = _random_gains(rng)
-        budget = _random_budget(rng)
+    for a, b, pb1, pb2 in rows.tolist():
+        gains = ChannelGains(a, b)
+        budget = PowerBudget(pb1, pb2)
         closed = optimal_allocation(gains, budget)
         grid = grid_search_allocation(gains, budget, n_steps)
         diff = closed.rate.value - grid.rate.value
@@ -131,16 +163,18 @@ def power_oracle_check(n_configs: int, seed: int, n_steps: int = _GRID_STEPS) ->
 
 def rho_star_check(n_points: int, seed: int) -> CheckResult:
     """Closed-form correlation minimizer matches the golden-section oracle."""
-    rng = _rng(seed)
+    import numpy as np
+
+    def cross_amplitude(a, b, p1, p2):  # s of `bound`, away from its s = 0 case
+        return np.sqrt(a) * p1 + np.sqrt(b) * p2 > 1e-3
+
+    ranges = (_GAIN, _GAIN, (0.0, 10.0), (0.0, 10.0))
+    rows = _kept_rows(_rng(seed), n_points, ranges, cross_amplitude)
     result = CheckResult("rho-star", n_points)
     h = 1e-6
-    for _ in range(n_points):
-        while True:
-            gains = _random_gains(rng)
-            alloc = PowerAllocation(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
-            s = math.sqrt(gains.a) * alloc.p1 + math.sqrt(gains.b) * alloc.p2
-            if s > 1e-3:
-                break
+    for a, b, p1, p2 in rows.tolist():
+        gains = ChannelGains(a, b)
+        alloc = PowerAllocation(p1, p2)
         star = rho_star(gains, alloc)
         numeric = rho_min_oracle(gains, alloc)
         f_star = sato_f(gains, alloc, star)
@@ -161,12 +195,9 @@ def rho_star_check(n_points: int, seed: int) -> CheckResult:
 
 def interferer_off_check(n_points: int, seed: int) -> CheckResult:
     """With the jammer silent, every branch collapses to the wiretap baseline."""
-    rng = _rng(seed)
+    rows = _uniform_rows(_rng(seed), n_points, ((0.0, 5.0), (0.0, 8.0), (0.0, 10.0)))
     result = CheckResult("interferer-off", n_points)
-    for _ in range(n_points):
-        a = rng.uniform(0.0, 5.0)
-        b = rng.uniform(0.0, 8.0)
-        p1 = rng.uniform(0.0, 10.0)
+    for a, b, p1 in rows.tolist():
         rate, _ = achievable_rate(ChannelGains(a, b), PowerAllocation(p1, 0.0))
         baseline = wiretap_capacity(a, p1)
         if abs(rate.value - baseline.value) > DEGENERATION_TOL:
@@ -176,6 +207,16 @@ def interferer_off_check(n_points: int, seed: int) -> CheckResult:
     return result
 
 
+# What one cycle of the six continuity kinds draws, in order: each kind's
+# p1 and p2, then its own gain; kind 5 redraws p2 below 3.5, then b.
+_CONTINUITY_DRAWS = (
+    *(_POWER, _POWER, _GAIN) * 2,
+    *(_POWER, _POWER, (0.05, 0.95)) * 2,
+    _POWER, _POWER, (0.0, 5.0),
+    _POWER, _POWER, (0.1, 3.5), (0.0, 5.0),
+)
+
+
 def continuity_check(n_points: int, seed: int) -> CheckResult:
     """The rate is continuous across every piecewise boundary.
 
@@ -183,7 +224,8 @@ def continuity_check(n_points: int, seed: int) -> CheckResult:
     beta1, b = beta2, a = 1, a = 1+P2), probing each sampled boundary
     from both sides.
     """
-    rng = _rng(seed)
+    cycles = -(-n_points // 6)
+    draws = iter(_uniform_rows(_rng(seed), cycles, _CONTINUITY_DRAWS).ravel().tolist())
     result = CheckResult("continuity", n_points)
     eps = CONTINUITY_PROBE
 
@@ -193,29 +235,27 @@ def continuity_check(n_points: int, seed: int) -> CheckResult:
 
     for i in range(n_points):
         kind = i % 6
-        p1 = rng.uniform(0.1, 10.0)
-        p2 = rng.uniform(0.1, 10.0)
+        p1, p2 = next(draws), next(draws)
         if kind == 0:  # b = 1 + P1, either regime
-            a = rng.uniform(0.05, 5.0)
+            a = next(draws)
             lo, hi = rate(a, 1.0 + p1 - eps, p1, p2), rate(a, 1.0 + p1 + eps, p1, p2)
             where = f"b=1+P1, a={a}"
         elif kind == 1:  # b = 1
-            a = rng.uniform(0.05, 5.0)
+            a = next(draws)
             lo, hi = rate(a, 1.0 - eps, p1, p2), rate(a, 1.0 + eps, p1, p2)
             where = f"b=1, a={a}"
         elif kind in (2, 3):  # b = beta1 or b = beta2, needs a < 1
-            a = rng.uniform(0.05, 0.95)
+            a = next(draws)
             th = Thresholds.at(ChannelGains(a, 0.0), PowerAllocation(p1, p2))
             name, b0 = ("beta1", th.beta1) if kind == 2 else ("beta2", th.beta2)
             lo, hi = rate(a, b0 - eps, p1, p2), rate(a, b0 + eps, p1, p2)
             where = f"b={name}={b0}, a={a}"
         elif kind == 4:  # a = 1
-            b = rng.uniform(0.0, 5.0)
+            b = next(draws)
             lo, hi = rate(1.0 - eps, b, p1, p2), rate(1.0 + eps, b, p1, p2)
             where = f"a=1, b={b}"
         else:  # a = 1 + P2
-            p2 = rng.uniform(0.1, 3.5)
-            b = rng.uniform(0.0, 5.0)
+            p2, b = next(draws), next(draws)
             a0 = 1.0 + p2
             lo, hi = rate(a0 - eps, b, p1, p2), rate(a0 + eps, b, p1, p2)
             where = f"a=1+P2={a0}, b={b}"
@@ -232,15 +272,15 @@ def asymptotics_check(n_points: int, seed: int) -> CheckResult:
     Samples keep |b - 1| and |ab - 1| at least 0.05, away from the lines
     b = 1 and ab = 1 where the limit function switches branch.
     """
-    rng = _rng(seed)
+
+    def off_the_lines(a, b):
+        return (abs(b - 1.0) >= LINE_MARGIN) & (abs(a * b - 1.0) >= LINE_MARGIN)
+
+    rows = _kept_rows(_rng(seed), n_points, (_GAIN, _GAIN), off_the_lines)
     result = CheckResult("asymptotics", n_points)
     budget = PowerBudget(ASYMPTOTIC_BUDGET, ASYMPTOTIC_BUDGET)
-    for _ in range(n_points):
-        while True:
-            gains = _random_gains(rng)
-            a, b = gains.a, gains.b
-            if abs(b - 1.0) >= LINE_MARGIN and abs(a * b - 1.0) >= LINE_MARGIN:
-                break
+    for a, b in rows.tolist():
+        gains = ChannelGains(a, b)
         limit = asymptotic_rate(gains)
         attained = optimal_allocation(gains, budget).rate
         if abs(attained.value - limit.value) > ASYMPTOTIC_TOL:

@@ -248,18 +248,30 @@ def test_overflowing_rho_root_is_a_domain_error(capsys):
 
 
 def test_nan_discriminant_is_the_overflow_domain_error(capsys):
-    # (sqrt(ab) - 1)^2 * p1 overflows and p2 = 0, so m and the
-    # discriminant are inf * 0 = NaN: an overflow, not an internal bug.
+    # s and m overflow, and p2 = 0 keeps the cross term 0, not inf * 0 =
+    # NaN, so rho* is inf/inf = NaN: an overflow, not an internal bug.
     from coopjam.cli import main
 
     gains = ChannelGains(1e200, 1e-100)
-    with pytest.raises(DomainError, match="inf/nan: s = inf and m = nan"):
+    with pytest.raises(DomainError, match="inf/inf: s = inf and m = inf"):
         sato_upper_bound(gains, PowerBudget(1e300, 0.0))
-    with pytest.raises(DomainError, match="inf/nan: s = inf and m = nan"):
+    with pytest.raises(DomainError, match="inf/inf: s = inf and m = inf"):
         rho_star(gains, PowerAllocation(1e300, 0.0))
     argv = ["bound", "--a", "1e200", "--b", "1e-100", "--pbar1", "1e300", "--pbar2", "0"]
     assert main(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_zero_budget_makes_the_cross_term_zero_not_nan(capsys):
+    # a*b overflows, so (sqrt(ab) - 1)^2 is inf; times p2 = 0 the cross
+    # term is 0, not inf * 0 = NaN, so the discriminant stays finite.
+    from coopjam.cli import main
+
+    argv = ["bound", "--a", "1e50", "--b", "1e300", "--pbar1", "1e-40", "--pbar2", "0"]
+    assert main(argv) == 0
+    values = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert "nan" not in (value.split()[0] for value in values.values())
+    assert math.isfinite(float(values["discriminant"]))
 
 
 def test_infinite_m_with_finite_s_still_answers():

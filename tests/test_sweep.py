@@ -229,9 +229,9 @@ def test_overflowing_square_in_a_sweep_is_a_domain_error():
 
 
 def test_nan_discriminant_in_a_sweep_is_a_domain_error():
-    # From the second row on, m and the discriminant are inf * 0 = NaN.
+    # From the second row on, s and m overflow, so rho* is inf/inf = NaN.
     spec = SweepSpec("a", 0.0, 1e250, 400, PowerBudget(1e300, 0.0), 1e-100)
-    with pytest.raises(DomainError, match="inf/nan: s = inf and m = nan"):
+    with pytest.raises(DomainError, match="inf/inf: s = inf and m = inf"):
         run_sweep(spec)
 
 

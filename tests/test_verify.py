@@ -1,0 +1,159 @@
+"""verify's checks draw their samples as arrays; these pin them to the
+samples of one `rng.uniform` call per value, made in the checks' order."""
+
+import math
+
+import numpy as np
+import pytest
+
+import coopjam.verify as verify
+from coopjam.achievable import Thresholds
+from coopjam.model import ChannelGains, PowerAllocation, PowerBudget
+
+
+def _record(monkeypatch, names):
+    """Calls of the named `coopjam.verify` globals, as (name, args), in order."""
+    calls = []
+    for name in names:
+
+        def recorded(*args, _fn=getattr(verify, name), _name=name):
+            calls.append((_name, args))
+            return _fn(*args)
+
+        monkeypatch.setattr(verify, name, recorded)
+    return calls
+
+
+# The references draw one value per rng.uniform call, rejection loops
+# included, and yield the calls a check makes with those values.
+
+def _gains(rng):
+    return ChannelGains(rng.uniform(0.05, 5.0), rng.uniform(0.05, 5.0))
+
+
+def _budget(rng):
+    return PowerBudget(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0))
+
+
+def _soundness(rng, n):
+    for _ in range(n):
+        gains, budget = _gains(rng), _budget(rng)
+        alloc = PowerAllocation(
+            rng.uniform(0.0, budget.p1_max), rng.uniform(0.0, budget.p2_max)
+        )
+        yield "achievable_rate", (gains, alloc)
+        yield "sato_upper_bound", (gains, budget)
+
+
+def _power_oracle(n_steps):
+    def reference(rng, n):
+        for _ in range(n):
+            gains, budget = _gains(rng), _budget(rng)
+            yield "optimal_allocation", (gains, budget)
+            yield "grid_search_allocation", (gains, budget, n_steps)
+
+    return reference
+
+
+def _rho_star(rng, n):
+    for _ in range(n):
+        while True:
+            gains = _gains(rng)
+            alloc = PowerAllocation(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
+            if math.sqrt(gains.a) * alloc.p1 + math.sqrt(gains.b) * alloc.p2 > 1e-3:
+                break
+        yield "rho_star", (gains, alloc)
+        yield "rho_min_oracle", (gains, alloc)
+
+
+def _interferer_off(rng, n):
+    for _ in range(n):
+        a, b, p1 = rng.uniform(0.0, 5.0), rng.uniform(0.0, 8.0), rng.uniform(0.0, 10.0)
+        yield "achievable_rate", (ChannelGains(a, b), PowerAllocation(p1, 0.0))
+        yield "wiretap_capacity", (a, p1)
+
+
+def _continuity(rng, n):
+    eps = verify.CONTINUITY_PROBE
+    for i in range(n):
+        kind = i % 6
+        p1, p2 = rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0)
+        if kind < 2:  # b = 1 + P1, b = 1
+            a = rng.uniform(0.05, 5.0)
+            b0 = 1.0 + p1 if kind == 0 else 1.0
+            probes = [(a, b0 - eps), (a, b0 + eps)]
+        elif kind < 4:  # b = beta1, b = beta2
+            a = rng.uniform(0.05, 0.95)
+            th = Thresholds.at(ChannelGains(a, 0.0), PowerAllocation(p1, p2))
+            b0 = th.beta1 if kind == 2 else th.beta2
+            probes = [(a, b0 - eps), (a, b0 + eps)]
+        elif kind == 4:  # a = 1
+            b = rng.uniform(0.0, 5.0)
+            probes = [(1.0 - eps, b), (1.0 + eps, b)]
+        else:  # a = 1 + P2
+            p2 = rng.uniform(0.1, 3.5)
+            b = rng.uniform(0.0, 5.0)
+            probes = [(1.0 + p2 - eps, b), (1.0 + p2 + eps, b)]
+        for a, b in probes:
+            yield "achievable_rate", (ChannelGains(a, b), PowerAllocation(p1, p2))
+
+
+def _asymptotics(rng, n):
+    budget = PowerBudget(verify.ASYMPTOTIC_BUDGET, verify.ASYMPTOTIC_BUDGET)
+    for _ in range(n):
+        while True:
+            gains = _gains(rng)
+            a, b = gains.a, gains.b
+            if abs(b - 1.0) >= 0.05 and abs(a * b - 1.0) >= 0.05:
+                break
+        yield "asymptotic_rate", (gains,)
+        yield "optimal_allocation", (gains, budget)
+
+
+_CHECKS = {
+    "soundness": (verify.soundness_check, _soundness, 50),
+    "power-oracle": (verify.power_oracle_check, _power_oracle(300), 4),
+    "power-oracle-60": (
+        lambda n, seed: verify.power_oracle_check(n, seed, 60), _power_oracle(60), 12
+    ),
+    "rho-star": (verify.rho_star_check, _rho_star, 20),
+    "interferer-off": (verify.interferer_off_check, _interferer_off, 50),
+    # Not a whole number of six-kind cycles.
+    "continuity": (verify.continuity_check, _continuity, 65),
+    "asymptotics": (verify.asymptotics_check, _asymptotics, 60),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", _CHECKS)
+def test_check_calls_get_the_one_at_a_time_samples(monkeypatch, name, seed):
+    check, reference, n = _CHECKS[name]
+    want = list(reference(np.random.default_rng(seed), n))
+    calls = _record(monkeypatch, {called for called, _ in want})
+    check(n, seed)
+    assert calls == want
+
+
+def test_kept_rows_are_those_of_a_one_row_at_a_time_rejection_loop():
+    # Keeps about a third of the rows, so the blocks are drawn many times.
+    ranges = ((0.05, 5.0), (0.0, 10.0))
+
+    def keep(a, p):
+        return a * p > 12.0
+
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        want = []
+        while len(want) < 200:
+            a, p = rng.uniform(*ranges[0]), rng.uniform(*ranges[1])
+            if keep(a, p):
+                want.append([a, p])
+        assert verify._kept_rows(np.random.default_rng(seed), 200, ranges, keep).tolist() == want
+
+
+def test_uniform_rows_leave_the_generator_where_single_draws_do():
+    ranges = ((0.05, 5.0), (0.1, 3.5), (0.0, 1.0))
+    one, rows = np.random.default_rng(5), np.random.default_rng(5)
+    want = [[one.uniform(lo, hi) for lo, hi in ranges] for _ in range(300)]
+    assert verify._uniform_rows(rows, 300, ranges).tolist() == want
+    assert one.random() == rows.random()
