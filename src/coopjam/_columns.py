@@ -8,23 +8,25 @@ A curve is evaluated as columns over the abscissa, a block of rows at a
 time: the allocation (the closed-form cases of `power`, selected per
 row), the rate's interval tests and branch label, the rate, and the
 full-budget bound.  The columns reuse the very formulas of the scalar
-functions, which take their `sqrt`, `log2` and square as arguments, so
-every value is bit-identical to `optimal_allocation`, `achievable_rate`
-and `sato_upper_bound` at that abscissa.  The rule that makes it exact:
-NumPy does only correctly rounded operations (+, -, *, /, sqrt, and
-each square as x * x, as the scalar `_square` does), comparisons and
-selection, in the scalar code's expression order.  Only log2 goes
-through libm (`math.log2`), one element at a time, because NumPy's
-log2 rounds differently from libm in about 0.1% of inputs.
+functions, which take their `min`, `sqrt`, square and `where` as one
+`ops` argument (and `_cap` its `log2`), so every value is bit-identical
+to `optimal_allocation`, `achievable_rate` and `sato_upper_bound` at
+that abscissa.  The rule that makes it exact: NumPy does only correctly
+rounded operations (+, -, *, /, sqrt, and each square as x * x, as the
+scalar `_square` does), comparisons and selection, in the scalar code's
+expression order.  Only log2 goes through libm (`math.log2`), one
+element at a time, because NumPy's log2 rounds differently from libm in
+about 0.1% of inputs.
 
 The columns restate no rule or tolerance of the scalar path.  Each has
-one owner, called here with column stand-ins for `min`, `sqrt`, `log2`,
-the square and `where`: the interval tests, branch codes and labels and
-the misselection test (`achievable._conditions`, `_branch_code`,
-`_LABELS`, `_misselected`), p2_star (`power._p2_star_terms`), and
-rho_star, when f(rho_star) is evaluated directly, the final bound and
-soundness (`bound._rho_root`, `_direct`, `_final_bound`, `_unsound`),
-and which values a RateValue accepts (`model._valid_rate`).
+one owner, called here with `_COLUMNS`, the column `ops`, and `_log2`:
+the interval tests, branch codes and labels and the misselection test
+(`achievable._conditions`, `_branch_code`, `_LABELS`, `_misselected`),
+the allocation's cases of both regimes and p2_star
+(`power._allocation_cases`, `_p2_star_terms`), rho_star, when
+f(rho_star) is evaluated directly, the final bound and soundness
+(`bound._rho_root`, `_direct`, `_final_bound`, `_unsound`), and which
+values a RateValue accepts (`model._valid_rate`).
 
 Each block also names the rows the columns cannot vouch for; `sweep`
 replays those through the scalar functions.
@@ -37,20 +39,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .achievable import _LABELS, _branch_code, _cap, _conditions, _misselected, _term_snrs
+from .achievable import _LABELS, _branch_code, _conditions, _misselected, _term_snrs
 from .bound import _direct, _f_log_arg, _final_bound, _rho_root, _star_terms, _unsound
-from .model import _valid_rate
+from .model import _cap, _Ops, _valid_rate
 from .power import _allocation_cases, _p2_star_terms
 from .sweep import PowerMode, SweepSpec, _gain_pair
-
-
-# Column stand-ins for the scalar helpers the formulas take as arguments.
-# min mirrors Python's: the first argument unless the second is strictly
-# smaller.  Where the scalar helper would raise, the stand-in gives NaN
-# instead, which flags its row for replay.
-
-def _minimum(x, y):
-    return np.where(y < x, y, x)
 
 
 def _log2(x):
@@ -65,20 +58,21 @@ def _square(x, name=None):
     return np.where(np.isinf(square), np.nan, square)
 
 
+# The column `ops`.  min mirrors Python's: the first argument unless the
+# second is strictly smaller.  Where a scalar helper would raise, its
+# stand-in gives NaN instead, which flags the row for replay.
+_COLUMNS = _Ops(lambda x, y: np.where(y < x, y, x), np.sqrt, _square, np.where)
+
+
 def _allocation_columns(a, b, pb1, pb2):
     """p1, p2 of `optimal_allocation` per row, and the rows it cannot vouch for."""
-    tests, p1s, p2s = [], [], []
-    for regime_i, in_regime in ((True, a >= 1.0), (False, a < 1.0)):
-        t, p1, p2 = _allocation_cases(a, b, pb1, pb2, regime_i, _minimum)
-        tests += [in_regime & test for test in t]
-        p1s += p1
-        p2s += p2
-    p2_star = _p2_star_terms(a, b, pb1, np.sqrt, _square, np.where)
+    tests, p1s, p2s = _allocation_cases(a, b, pb1, pb2, _COLUMNS)
+    p2_star = _p2_star_terms(a, b, pb1, _COLUMNS)
     p2_star = np.where(b == 0.0, np.inf, p2_star)
     case = np.select(tests, range(len(tests)))
     jam = np.choose(case, [p2 is None for p2 in p2s])
     p1 = np.choose(case, p1s)
-    p2 = np.choose(case, [_minimum(pb2, p2_star) if p2 is None else p2 for p2 in p2s])
+    p2 = np.choose(case, [_COLUMNS.min(pb2, p2_star) if p2 is None else p2 for p2 in p2s])
     replay = jam & ~(p2_star >= 0.0)
     # PowerAllocation's checks, and allocation within the budget.
     replay |= ~((0.0 <= p1) & (p1 <= pb1) & (0.0 <= p2) & (p2 <= pb2))
@@ -87,26 +81,26 @@ def _allocation_columns(a, b, pb1, pb2):
 
 def _rate_columns(a, b, p1, p2):
     """The rate and branch code of `achievable_rate` per row, and rows to replay."""
-    zero, decode, joint, mid = _conditions(a, b, p1, p2, _minimum)
+    zero, decode, joint, mid = _conditions(a, b, p1, p2, _COLUMNS)
     k = np.select([decode, joint, mid], [0, 1, 2], 3)
     xs, ys = zip(*(_term_snrs(t, a, b, p1, p2) for t in range(4)))
     x, y = np.choose(k, xs), np.choose(k, ys)
     raw = _cap(x, _log2) - _cap(y, _log2)
     rate = np.where(zero | ~(raw > 0.0), 0.0, raw)
-    code = np.where(zero, 0, _branch_code(a, k, np.where))
+    code = np.where(zero, 0, _branch_code(a, k, _COLUMNS))
     bad = ~np.isfinite(raw) | _misselected(raw, a, k)
     return rate, code, ~zero & bad
 
 
 def _bound_columns(a, b, pb1, pb2):
     """final_bound of `sato_upper_bound` per row, and the rows to replay."""
-    s, m, _, _, delta = _star_terms(a, b, pb1, pb2, np.sqrt, _square, np.where)
-    rho = _rho_root(s, m, delta, np.sqrt, np.where)
-    num, arg = _f_log_arg(a, b, pb1, pb2, rho, np.sqrt, _square)
+    s, m, _, _, delta = _star_terms(a, b, pb1, pb2, _COLUMNS)
+    rho = _rho_root(s, m, delta, _COLUMNS)
+    num, arg = _f_log_arg(a, b, pb1, pb2, rho, _COLUMNS)
     f_at = 0.5 * _log2(arg)
     # The cancelled form near rho = 1 or a NaN root, and `_f_value`'s check.
     replay = ~_direct(rho) | ~(num > 0.0) | ~np.isfinite(f_at)
-    return _final_bound(f_at, pb1, _minimum, np.where), replay
+    return _final_bound(f_at, pb1, _COLUMNS), replay
 
 
 # Columns are evaluated this many rows at a time, so that their

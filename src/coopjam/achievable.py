@@ -18,7 +18,8 @@ in regime I, so no caller tells the regimes apart to test the intervals.
 `_conditions`, `_term_snrs`, `_misselected` and `_branch_code` write the
 tests, the rate terms' SNRs, the misselection check and the branch code
 once, for float or NumPy inputs, so the lattice oracle in `power` and
-the sweep's columns evaluate them too.  `_LABELS` is indexed by a branch
+the sweep's columns evaluate them too; a caller with an array `a` passes
+one `ops` of array stand-ins.  `_LABELS` is indexed by a branch
 code: 0 is ZERO-1, 1 + k is regime I's term k and 5 + k regime II's.
 
 All functions are pure and thread-safe.
@@ -36,8 +37,9 @@ from .model import (
     InvariantViolation,
     PowerAllocation,
     RateValue,
+    _cap,
+    _FLOATS,
     _require_finite,
-    _where,
     gauss_cap,
     pos_part,
 )
@@ -94,9 +96,9 @@ _LABELS = (
 )
 
 
-def _branch_code(a, k, where=_where):
+def _branch_code(a, k, ops=_FLOATS):
     """The `_LABELS` index of rate term k outside ZERO; float or array `a`."""
-    return where(a >= 1.0, 1, 5) + k
+    return ops.where(a >= 1.0, 1, 5) + k
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,29 +119,29 @@ class Thresholds:
         return cls(*_betas(gains.a, alloc.p1, alloc.p2))
 
 
-def _betas(a, p1, p2, minimum=min):
-    """(beta1, beta2) at float or array inputs, with `minimum` to match.
+def _betas(a, p1, p2, ops=_FLOATS):
+    """(beta1, beta2) at float or array inputs, with `ops` to match.
 
     `a` is clamped at 1 first, so the denominator of beta2 is at least 1.
     For a >= 1 both come out exactly 1.0 at finite powers: (1 + p1) / (1 + p1)
     rounds to 1 and 0.0 * p2 is 0.
     """
-    a = minimum(a, 1.0)
+    a = ops.min(a, 1.0)
     beta1 = (1.0 + p1) / (1.0 + a * p1)
     beta2 = a * (1.0 + p1) / (1.0 + a * p1 + (1.0 - a) * p2)
     return beta1, beta2
 
 
-def _conditions(a, b, p1, p2, minimum=min):
+def _conditions(a, b, p1, p2, ops=_FLOATS):
     """The left-closed interval tests, in priority order.
 
     The ZERO regime, then the decode-first, joint and cancel-free terms;
     treat-as-noise applies when none holds.  Gains and powers may be
-    floats or broadcastable arrays, with `minimum` to match.  Both
+    floats or broadcastable arrays, with `ops` to match.  Both
     thresholds are 1 for a >= 1, so the cancel-free term is never
     selected there.
     """
-    beta1, beta2 = _betas(a, p1, p2, minimum)
+    beta1, beta2 = _betas(a, p1, p2, ops)
     return a >= 1.0 + p2, b >= 1.0 + p1, b >= beta1, b >= beta2
 
 
@@ -150,10 +152,6 @@ def _misselected(raw, a, k):
     their own intervals.  Float or array inputs.
     """
     return (raw < _NEG_TOL) & ((a < 1.0) | (k == 0))
-
-
-def _cap(x, log2):
-    return 0.5 * log2(1.0 + x)
 
 
 def _term_snrs(k, a, b, p1, p2):

@@ -15,8 +15,9 @@ The final capacity bound additionally caps this with the jamming-free
 direct-link capacity g(P1_max).
 
 The rules that decide the bound (`_star_terms`, `_rho_root`, `_direct`,
-`_final_bound`, `_unsound`) take float or array inputs, with stand-ins
-for `sqrt`, the square, `min` and `where`, so the sweep's columns reuse them.
+`_final_bound`, `_unsound`) take float or array inputs, with one `ops`
+of stand-ins for `min`, `sqrt`, the square and `where` to match, so the
+sweep's columns reuse them.
 
 `rho_min_oracle` re-derives the minimizer numerically (golden-section
 over the convex profile) and exists purely to cross-check rho_star.
@@ -34,9 +35,8 @@ from .model import (
     PowerAllocation,
     PowerBudget,
     RateValue,
+    _FLOATS,
     _real,
-    _square,
-    _where,
     gauss_cap,
 )
 
@@ -118,19 +118,18 @@ def _f_value(a: float, b: float, p1: float, p2: float, r: float) -> float:
     return 0.5 * math.log2(arg)
 
 
-def _f_log_arg(a, b, p1, p2, r, sqrt=math.sqrt, square=_square):
+def _f_log_arg(a, b, p1, p2, r, ops=_FLOATS):
     """The numerator A*B - (rho + s)^2 of f's log argument, and the argument.
 
-    Float or array inputs, with `sqrt` and `square` to match; nothing is
-    checked.
+    Float or array inputs, with `ops` to match; nothing is checked.
     """
     eave = 1.0 + a * p1 + p2
-    s = sqrt(a) * p1 + sqrt(b) * p2
-    num = (1.0 + p1 + b * p2) * eave - square(r + s, "(rho + s)^2 in the bound")
+    s = ops.sqrt(a) * p1 + ops.sqrt(b) * p2
+    num = (1.0 + p1 + b * p2) * eave - ops.square(r + s, "(rho + s)^2 in the bound")
     return num, num / ((1.0 - r * r) * eave)
 
 
-def _star_terms(a, b, p1, p2, sqrt=math.sqrt, square=_square, where=_where):
+def _star_terms(a, b, p1, p2, ops=_FLOATS):
     """s, m, the two discriminant factors and delta, for float or array inputs.
 
     The factors equal m - 2s and m + 2s but are computed as sums of
@@ -138,28 +137,28 @@ def _star_terms(a, b, p1, p2, sqrt=math.sqrt, square=_square, where=_where):
     cross term (sqrt(ab) - 1)^2 p1 p2 is 0 where either power is, also
     where a*b overflows, so it is never inf * 0 = NaN.  Nothing is checked.
     """
-    ra, rb = sqrt(a), sqrt(b)
+    ra, rb = ops.sqrt(a), ops.sqrt(b)
     s = ra * p1 + rb * p2
-    cross = square(sqrt(a * b) - 1.0, "(sqrt(a*b) - 1)^2 in the bound") * p1 * p2
-    cross = where((p1 == 0.0) | (p2 == 0.0), 0.0, cross)
+    cross = ops.square(ops.sqrt(a * b) - 1.0, "(sqrt(a*b) - 1)^2 in the bound") * p1 * p2
+    cross = ops.where((p1 == 0.0) | (p2 == 0.0), 0.0, cross)
     m = (1.0 + a) * p1 + (1.0 + b) * p2 + cross
     d_lo = (
-        square(ra - 1.0, "(sqrt(a) - 1)^2 in the bound") * p1
-        + square(rb - 1.0, "(sqrt(b) - 1)^2 in the bound") * p2
+        ops.square(ra - 1.0, "(sqrt(a) - 1)^2 in the bound") * p1
+        + ops.square(rb - 1.0, "(sqrt(b) - 1)^2 in the bound") * p2
         + cross
     )
     d_hi = (
-        square(ra + 1.0, "(sqrt(a) + 1)^2 in the bound") * p1
-        + square(rb + 1.0, "(sqrt(b) + 1)^2 in the bound") * p2
+        ops.square(ra + 1.0, "(sqrt(a) + 1)^2 in the bound") * p1
+        + ops.square(rb + 1.0, "(sqrt(b) + 1)^2 in the bound") * p2
         + cross
     )
     return s, m, d_lo, d_hi, d_lo * d_hi
 
 
-def _rho_root(s, m, delta, sqrt=math.sqrt, where=_where):
+def _rho_root(s, m, delta, ops=_FLOATS):
     """The minimizer 2s / (m + sqrt(delta)), >= 0 or NaN; 0 / 1 where s <= 1e-12."""
     flat = s <= _DEGENERATE_S
-    return where(flat, 0.0, 2.0 * s) / where(flat, 1.0, m + sqrt(delta))
+    return ops.where(flat, 0.0, 2.0 * s) / ops.where(flat, 1.0, m + ops.sqrt(delta))
 
 
 def _direct(rho):
@@ -167,10 +166,10 @@ def _direct(rho):
     return rho < 1.0 - _RHO_EDGE
 
 
-def _final_bound(f_at, p1, minimum=min, where=_where):
+def _final_bound(f_at, p1, ops=_FLOATS):
     """max(min(f(rho*), g(p1)), 0), for float or array `f_at`."""
-    bound = minimum(f_at, gauss_cap(p1))
-    return where(bound > 0.0, bound, 0.0)
+    bound = ops.min(f_at, gauss_cap(p1))
+    return ops.where(bound > 0.0, bound, 0.0)
 
 
 def _unsound(rate, bound):
@@ -245,7 +244,6 @@ def rho_min_oracle(gains: ChannelGains, alloc: PowerAllocation) -> NoiseCorrelat
 
 def _f_at_star_cancelled(
     a: float,
-    b: float,
     p1: float,
     p2: float,
     s: float,
@@ -290,6 +288,6 @@ def sato_upper_bound(gains: ChannelGains, budget: PowerBudget) -> SatoEvaluation
     if _direct(raw):
         f_at = _f_value(a, b, p1, p2, raw)
     else:
-        f_at = _f_at_star_cancelled(a, b, p1, p2, s, m, d_lo, d_hi, raw)
+        f_at = _f_at_star_cancelled(a, p1, p2, s, m, d_lo, d_hi, raw)
     rho = NoiseCorrelation(min(raw, _RHO_CLAMP))
     return SatoEvaluation(rho, f_at, RateValue(_final_bound(f_at, p1)), delta)

@@ -10,6 +10,7 @@ power gains.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 __all__ = [
@@ -137,7 +138,12 @@ def gauss_cap(x: float) -> float:
     negative or non-finite SNR.
     """
     x = _require_finite("snr", x)
-    return 0.5 * math.log2(1.0 + x)
+    return _cap(x, math.log2)
+
+
+def _cap(x, log2):
+    """gauss_cap unchecked, with the `log2` of float or array `x`."""
+    return 0.5 * log2(1.0 + x)
 
 
 def pos_part(x: float) -> float:
@@ -156,6 +162,7 @@ def _square(x: float, name: str) -> float:
     return square
 
 
-def _where(test, x, y):
-    """`x` if `test` else `y`: the float stand-in for `np.where`."""
-    return x if test else y
+# A formula shared by floats and NumPy columns takes its helpers as one
+# `ops`: these by default, the columns' array stand-ins in the sweep.
+_Ops = namedtuple("_Ops", "min sqrt square where")
+_FLOATS = _Ops(min, math.sqrt, _square, lambda test, x, y: x if test else y)

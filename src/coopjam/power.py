@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .achievable import BranchLabel, _cap, _conditions, _term_snrs, achievable_rate
+from .achievable import BranchLabel, _conditions, _term_snrs, achievable_rate
 from .model import (
     ChannelGains,
     DomainError,
@@ -48,9 +48,9 @@ from .model import (
     PowerAllocation,
     PowerBudget,
     RateValue,
+    _cap,
+    _FLOATS,
     _require_finite,
-    _square,
-    _where,
     pos_part,
 )
 
@@ -114,7 +114,7 @@ def critical_powers(gains: ChannelGains, budget: PowerBudget) -> CriticalPowers:
     return CriticalPowers(p1_star, p2_star)
 
 
-def _p2_star_terms(a, b, pb1, sqrt=math.sqrt, square=_square, where=_where):
+def _p2_star_terms(a, b, pb1, ops=_FLOATS):
     """p2_star, or NaN where it does not exist.
 
     p2_star is the larger root of (1 - ab) x^2 - 2(a - 1) x - c/b, where
@@ -123,45 +123,43 @@ def _p2_star_terms(a, b, pb1, sqrt=math.sqrt, square=_square, where=_where):
     the plain numerator a - 1 + sqrt(R) would lose more than a bit, so
     the conjugate c / (b (sqrt(R) + 1 - a)) is taken; either is as exact
     as the root's conditioning, about 2^-53 / (1 - ab), up to a*b = 1.
-    Float or array inputs, with `sqrt`, `square` and `where` to match;
-    defined for b > 0 and a*b < 1.  Nothing is checked.
+    Float or array inputs, with `ops` to match; defined for b > 0 and
+    a*b < 1.  Nothing is checked.
     """
     c = a - b + (1.0 - b) * a * pb1
-    radicand = square(a - 1.0, "(a - 1)^2 in p2_star") + (1.0 / b - a) * c
-    root = sqrt(where(radicand < 0.0, 0.0, radicand))
+    radicand = ops.square(a - 1.0, "(a - 1)^2 in p2_star") + (1.0 / b - a) * c
+    root = ops.sqrt(ops.where(radicand < 0.0, 0.0, radicand))
     num = a - 1.0 + root
     plain = num >= 1.0 - a
-    p2_star = where(plain, num, c) / where(plain, 1.0 - a * b, b * (root + 1.0 - a))
-    return where(radicand >= -_RADICAND_TOL, p2_star, math.nan)
+    p2_star = ops.where(plain, num, c) / ops.where(plain, 1.0 - a * b, b * (root + 1.0 - a))
+    return ops.where(radicand >= -_RADICAND_TOL, p2_star, math.nan)
 
 
-def _allocation_cases(a, b, pb1, pb2, regime_i, minimum=min):
-    """The closed-form cases of one regime: their tests, p1s and p2s.
+def _allocation_cases(a, b, pb1, pb2, ops=_FLOATS):
+    """The closed-form cases of both regimes: their tests, p1s and p2s.
 
-    `regime_i` selects the cases for a >= 1, otherwise those for a < 1.
-    The first case whose test holds applies; the last test is True.  A
-    p2 of None marks the jamming case, which transmits min(pb2, p2_star)
-    and has a*b < 1.  Gains and budgets may be floats or arrays (with
-    `minimum` to match), so the tests combine with `&`.
+    Regime I's three cases (a >= 1) come first, then regime II's six;
+    each test includes its regime's, and the first test that holds
+    applies.  A p2 of None marks the jamming case, which transmits
+    min(pb2, p2_star) and has a*b < 1.  Gains and budgets may be floats
+    or arrays (with `ops` to match), so the tests combine with `&`.
     """
     ab = a * b
-    if regime_i:
-        return (
-            ((b > 1.0) & (pb2 > a - 1.0), (ab < 1.0) & (pb2 * (1.0 - ab) > a - 1.0), True),
-            (minimum(pb1, b - 1.0), pb1, 0.0),
-            (pb2, None, 0.0),
-        )
+    i, ii = a >= 1.0, a < 1.0
     return (
         (
-            (b >= 1.0) & (pb1 < b - 1.0),
-            (ab >= 1.0) & (pb1 >= b - 1.0) & (pb2 * (ab - 1.0) < 1.0 - a),
-            (ab >= 1.0) & (pb1 >= b - 1.0),
-            (b >= 1.0) & (b - 1.0 <= pb1) & (pb1 * (1.0 - ab) < b - 1.0),
-            (b < 1.0) & (a * (1.0 - b) * pb1 >= b - a),
-            True,
+            i & (b > 1.0) & (pb2 > a - 1.0),
+            i & (ab < 1.0) & (pb2 * (1.0 - ab) > a - 1.0),
+            i,
+            ii & (b >= 1.0) & (pb1 < b - 1.0),
+            ii & (ab >= 1.0) & (pb1 >= b - 1.0) & (pb2 * (ab - 1.0) < 1.0 - a),
+            ii & (ab >= 1.0) & (pb1 >= b - 1.0),
+            ii & (b >= 1.0) & (b - 1.0 <= pb1) & (pb1 * (1.0 - ab) < b - 1.0),
+            ii & (b < 1.0) & (a * (1.0 - b) * pb1 >= b - a),
+            ii,
         ),
-        (pb1, pb1, b - 1.0, pb1, pb1, pb1),
-        (pb2, pb2, pb2, pb2, None, 0.0),
+        (ops.min(pb1, b - 1.0), pb1, 0.0, pb1, pb1, b - 1.0, pb1, pb1, pb1),
+        (pb2, None, 0.0, pb2, pb2, pb2, pb2, None, 0.0),
     )
 
 
@@ -173,7 +171,7 @@ def optimal_allocation(gains: ChannelGains, budget: PowerBudget) -> AllocationRe
     """
     a, b = gains.a, gains.b
     pb1, pb2 = budget.p1_max, budget.p2_max
-    tests, p1s, p2s = _allocation_cases(a, b, pb1, pb2, a >= 1.0)
+    tests, p1s, p2s = _allocation_cases(a, b, pb1, pb2)
     k = tests.index(True)
     p1, p2 = p1s[k], p2s[k]
     if p2 is None:

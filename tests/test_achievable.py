@@ -92,12 +92,12 @@ class TestThresholds:
             assert (th.beta1, th.beta2) == (1.0, 1.0), (a, p1, p2)
 
     def test_array_clamp_matches_scalar_elementwise(self):
-        from coopjam._columns import _minimum
+        from coopjam._columns import _COLUMNS
         from coopjam.achievable import _betas
 
         a = np.array([0.0, 0.25, 0.999999, 1.0, 1.000001, 2.0, 1e300])
         for p1, p2 in ((0.0, 0.0), (3.0, 7.0), (1e-300, 1e300), (1e300, 2.0)):
-            beta1, beta2 = _betas(a, p1, p2, _minimum)
+            beta1, beta2 = _betas(a, p1, p2, _COLUMNS)
             expected = [_betas(x, p1, p2) for x in a.tolist()]
             assert list(zip(beta1.tolist(), beta2.tolist())) == expected
 

@@ -193,7 +193,7 @@ class TestSatoUpperBound:
             raw_rho = 2.0 * s / (m + math.sqrt(delta))
             if raw_rho >= 1.0 - 1e-6:
                 continue
-            stable = _f_at_star_cancelled(a, b, p1, p2, s, m, d_lo, d_hi, raw_rho)
+            stable = _f_at_star_cancelled(a, p1, p2, s, m, d_lo, d_hi, raw_rho)
             direct = f_at(a, b, p1, p2, raw_rho)
             assert stable == pytest.approx(direct, abs=1e-10)
 

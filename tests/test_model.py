@@ -177,3 +177,47 @@ def test_no_module_calls_pow():
             if isinstance(getattr(node, "op", None), ast.Pow) or name == "pow":
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_parameter_is_read():
+    # A parameter that no line reads is a knob with no effect.  `_columns`'
+    # `_square` takes `name` only to share `model._square`'s signature.
+    unread = []
+    for path in sorted(Path(coopjam.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            if getattr(fn, "name", "").startswith("__"):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [p for p in (args.vararg, args.kwarg) if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {
+                node.id
+                for stmt in body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            for p in params:
+                if p.arg not in read:
+                    unread.append(f"{path.name}:{getattr(fn, 'name', 'lambda')}({p.arg})")
+    assert unread == ["_columns.py:_square(name)"]
+
+
+def test_only_ops_defaults_to_a_callable():
+    # The float and column paths differ only in the one `ops` they pass; a
+    # bare stand-in default (a `min`, `sqrt` or `where`) would be a second knob.
+    import importlib
+    import inspect
+
+    found = []
+    for module in ("achievable", "power", "bound", "model"):
+        mod = importlib.import_module(f"coopjam.{module}")
+        for name, fn in vars(mod).items():
+            if not inspect.isfunction(fn) or fn.__module__ != mod.__name__:
+                continue
+            for p in inspect.signature(fn).parameters.values():
+                if p.default is not p.empty and callable(p.default) and p.name != "ops":
+                    found.append(f"{module}.{name}({p.name})")
+    assert found == []

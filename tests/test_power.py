@@ -173,7 +173,7 @@ class TestCriticalPowers:
         while checked < 20:
             a, b = (1.0 - 10.0 ** rng.uniform(-15.0, -12.3, size=2)).tolist()
             pb1 = float(10.0 ** rng.uniform(-2.0, 4.0))
-            tests, _, p2s = _allocation_cases(a, b, pb1, 1.0, False)
+            tests, _, p2s = _allocation_cases(a, b, pb1, 1.0)
             if not 1.0 - a * b < 1e-12 or p2s[tests.index(True)] is not None:
                 continue
             checked += 1
@@ -210,7 +210,7 @@ def test_near_line_jamming_reaches_the_decimal_optimum(regime_i):
     checked = 0
     while checked < 60:
         a, b, pb1, pb2 = _near_line_point(rng, regime_i)
-        tests, p1s, p2s = _allocation_cases(a, b, pb1, pb2, a >= 1.0)
+        tests, p1s, p2s = _allocation_cases(a, b, pb1, pb2)
         k = tests.index(True)
         if not a * b < 1.0 or p2s[k] is not None:
             continue
@@ -232,7 +232,7 @@ def test_p2_star_bits_that_move_come_closer_to_the_decimal_root():
     for gains_at in curves:
         for i in range(401):
             a, b = gains_at(4.0 * (i / 400))
-            tests, _, p2s = _allocation_cases(a, b, 2.0, 2.0, a >= 1.0)
+            tests, _, p2s = _allocation_cases(a, b, 2.0, 2.0)
             if a >= 1.0 or b == 0.0 or p2s[tests.index(True)] is not None:
                 continue
             got = critical_powers(ChannelGains(a, b), PowerBudget(2.0, 2.0)).p2_star

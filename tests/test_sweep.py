@@ -154,7 +154,7 @@ def _direct_row(spec, x):
         best = optimal_allocation(gains, spec.budget)
         alloc, rate, branch = best.alloc, best.rate, best.branch
         a, b, pb1, pb2 = gains.a, gains.b, spec.budget.p1_max, spec.budget.p2_max
-        tests, _, p2s = _allocation_cases(a, b, pb1, pb2, a >= 1.0)
+        tests, _, p2s = _allocation_cases(a, b, pb1, pb2)
         near_line = p2s[tests.index(True)] is None and 1.0 - a * b < 1e-9
     else:
         alloc = PowerAllocation(spec.budget.p1_max, spec.budget.p2_max)
@@ -192,6 +192,10 @@ _EQUIVALENCE_CURVES = [
     # near a = 1e-18 (b = 1e-18 below), after rows with 0 < s <= 1e-12.
     SweepSpec("a", 0.0, 4e-18, 8, PowerBudget(1e-3, 0.0), 0.5),
     SweepSpec("b", 0.0, 4e-18, 8, PowerBudget(1e-16, 1e-3), 2.0),
+    # Rows at a = 1 - 1 ulp, 1, 1 and 1 + 1 ulp: the allocation's regime
+    # split, on both sides of b = 1.
+    SweepSpec("a", 0.9999999999999999, 1.0000000000000002, 3, _B2, 0.5),
+    SweepSpec("a", 0.9999999999999999, 1.0000000000000002, 3, _B2, 1.5),
 ]
 
 
