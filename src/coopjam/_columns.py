@@ -1,26 +1,28 @@
-"""NumPy columns of a sweep: the kernel behind `sweep.run_sweep`.
+"""NumPy columns of the scalar functions: the kernels behind `sweep.run_sweep`
+and `verify`'s soundness and interferer-off checks.
 
 This is the only module of the sweep that imports NumPy, and
-`run_sweep` imports it on its first call, so `import coopjam` and the
-scalar commands never load NumPy.
+`run_sweep` imports it on its first call, as those checks do, so
+`import coopjam` and the scalar commands never load NumPy.
 
-A curve is evaluated as columns over the abscissa, a block of rows at a
-time: the allocation (the closed-form cases of `power`, selected per
-row), the rate's interval tests and branch label, the rate, and the
-full-budget bound.  The columns reuse the very formulas of the scalar
-functions, which take their `min`, `sqrt`, square and `where` as one
-`ops` argument (and `_cap` its `log2`), so every value is bit-identical
-to `optimal_allocation`, `achievable_rate` and `sato_upper_bound` at
-that abscissa.  The rule that makes it exact: NumPy does only correctly
-rounded operations (+, -, *, /, sqrt, and each square as x * x, as the
-scalar `_square` does), comparisons and selection, in the scalar code's
+A sweep's curve is evaluated as columns over the abscissa, a block of
+rows at a time: the allocation (the closed-form cases of `power`,
+selected per row), the rate's interval tests and branch label, the
+rate, and the full-budget bound.  `verify` passes its samples as the
+columns instead.  The columns reuse the very formulas of the scalar
+functions, which take their `min`, `sqrt`, square, `where` and `log2`
+as one `ops` argument, so every value is bit-identical to
+`optimal_allocation`, `achievable_rate` and `sato_upper_bound` at that
+row.  The rule that makes it exact: NumPy does only correctly rounded
+operations (+, -, *, /, sqrt, and each square as x * x, as the scalar
+`_square` does), comparisons and selection, in the scalar code's
 expression order.  Only log2 goes through libm (`math.log2`), one
 element at a time, because NumPy's log2 rounds differently from libm in
 about 0.1% of inputs.
 
 The columns restate no rule or tolerance of the scalar path.  Each has
-one owner, called here with `_COLUMNS`, the column `ops`, and `_log2`:
-the interval tests, branch codes and labels and the misselection test
+one owner, called here with `_COLUMNS`, the column `ops`: the interval
+tests, branch codes and labels and the misselection test
 (`achievable._conditions`, `_branch_code`, `_LABELS`, `_misselected`),
 the allocation's cases of both regimes and p2_star
 (`power._allocation_cases`, `_p2_star_terms`), rho_star, when
@@ -28,8 +30,8 @@ f(rho_star) is evaluated directly, the final bound and soundness
 (`bound._rho_root`, `_direct`, `_final_bound`, `_unsound`), and which
 values a RateValue accepts (`model._valid_rate`).
 
-Each block also names the rows the columns cannot vouch for; `sweep`
-replays those through the scalar functions.
+Each kernel also names the rows the columns cannot vouch for; `sweep`
+and `verify` replay those through the scalar functions.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _square(x, name=None):
 # The column `ops`.  min mirrors Python's: the first argument unless the
 # second is strictly smaller.  Where a scalar helper would raise, its
 # stand-in gives NaN instead, which flags the row for replay.
-_COLUMNS = _Ops(lambda x, y: np.where(y < x, y, x), np.sqrt, _square, np.where)
+_COLUMNS = _Ops(lambda x, y: np.where(y < x, y, x), np.sqrt, _square, np.where, _log2)
 
 
 def _allocation_columns(a, b, pb1, pb2):
@@ -85,7 +87,7 @@ def _rate_columns(a, b, p1, p2):
     k = np.select([decode, joint, mid], [0, 1, 2], 3)
     xs, ys = zip(*(_term_snrs(t, a, b, p1, p2) for t in range(4)))
     x, y = np.choose(k, xs), np.choose(k, ys)
-    raw = _cap(x, _log2) - _cap(y, _log2)
+    raw = _cap(x, _COLUMNS.log2) - _cap(y, _COLUMNS.log2)
     rate = np.where(zero | ~(raw > 0.0), 0.0, raw)
     code = np.where(zero, 0, _branch_code(a, k, _COLUMNS))
     bad = ~np.isfinite(raw) | _misselected(raw, a, k)
@@ -97,10 +99,25 @@ def _bound_columns(a, b, pb1, pb2):
     s, m, _, _, delta = _star_terms(a, b, pb1, pb2, _COLUMNS)
     rho = _rho_root(s, m, delta, _COLUMNS)
     num, arg = _f_log_arg(a, b, pb1, pb2, rho, _COLUMNS)
-    f_at = 0.5 * _log2(arg)
+    f_at = 0.5 * _COLUMNS.log2(arg)
     # The cancelled form near rho = 1 or a NaN root, and `_f_value`'s check.
     replay = ~_direct(rho) | ~(num > 0.0) | ~np.isfinite(f_at)
     return _final_bound(f_at, pb1, _COLUMNS), replay
+
+
+def _rate_and_bound(a, b, p1, p2, pb1, pb2):
+    """The rate, branch code and bound columns, and the rows to replay.
+
+    A row is replayed where either kernel flags it, where the rate
+    exceeds the bound (which the scalar path reports), and where a value
+    is no RateValue: no RateValue is built from a column value, so its
+    rule runs here.
+    """
+    rate, code, bad_rate = _rate_columns(a, b, p1, p2)
+    bound, bad_bound = _bound_columns(a, b, pb1, pb2)
+    replay = bad_rate | bad_bound | _unsound(rate, bound)
+    replay |= ~_valid_rate(rate) | ~_valid_rate(bound)
+    return rate, code, bound, replay
 
 
 # Columns are evaluated this many rows at a time, so that their
@@ -139,11 +156,8 @@ def _block_columns(spec: SweepSpec, x: np.ndarray) -> tuple:
             p1, p2, replay = _allocation_columns(a, b, pb1, pb2)
         else:
             p1, p2, replay = pb1, pb2, False
-        rate, code, bad_rate = _rate_columns(a, b, p1, p2)
-        bound, bad_bound = _bound_columns(a, b, pb1, pb2)
-        replay = replay | bad_rate | bad_bound | _unsound(rate, bound)
-        # No RateValue is built from a column value, so its rule runs here.
-        replay |= ~_valid_rate(rate) | ~_valid_rate(bound)
+        rate, code, bound, bad = _rate_and_bound(a, b, p1, p2, pb1, pb2)
+        replay = replay | bad
     return (
         x.tolist(),
         rate.tolist(),

@@ -16,8 +16,8 @@ direct-link capacity g(P1_max).
 
 The rules that decide the bound (`_star_terms`, `_rho_root`, `_direct`,
 `_final_bound`, `_unsound`) take float or array inputs, with one `ops`
-of stand-ins for `min`, `sqrt`, the square and `where` to match, so the
-sweep's columns reuse them.
+of stand-ins for `min`, `sqrt`, the square, `where` and `log2` to match,
+so the columns of `sweep` and `verify` reuse them.
 
 `rho_min_oracle` re-derives the minimizer numerically (golden-section
 over the convex profile) and exists purely to cross-check rho_star.
@@ -35,9 +35,9 @@ from .model import (
     PowerAllocation,
     PowerBudget,
     RateValue,
+    _cap,
     _FLOATS,
     _real,
-    gauss_cap,
 )
 
 __all__ = [
@@ -167,8 +167,8 @@ def _direct(rho):
 
 
 def _final_bound(f_at, p1, ops=_FLOATS):
-    """max(min(f(rho*), g(p1)), 0), for float or array `f_at`."""
-    bound = ops.min(f_at, gauss_cap(p1))
+    """max(min(f(rho*), g(p1)), 0), for float or array `f_at` and `p1`."""
+    bound = ops.min(f_at, _cap(p1, ops.log2))
     return ops.where(bound > 0.0, bound, 0.0)
 
 

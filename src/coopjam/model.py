@@ -163,6 +163,7 @@ def _square(x: float, name: str) -> float:
 
 
 # A formula shared by floats and NumPy columns takes its helpers as one
-# `ops`: these by default, the columns' array stand-ins in the sweep.
-_Ops = namedtuple("_Ops", "min sqrt square where")
-_FLOATS = _Ops(min, math.sqrt, _square, lambda test, x, y: x if test else y)
+# `ops`: these by default, the columns' array stand-ins in the sweep and
+# in `verify`.
+_Ops = namedtuple("_Ops", "min sqrt square where log2")
+_FLOATS = _Ops(min, math.sqrt, _square, lambda test, x, y: x if test else y, math.log2)

@@ -16,17 +16,22 @@ interval tests as `achievable_rate` and never consults the allocation
 case analysis (it only adds the critical points as extra lattice
 candidates, so agreement is not limited by lattice resolution).
 
-The lattice evaluates each cell's rate term only where its tests select
-it.  The decode-first and joint tests read p1 alone, so they hold for
-whole rows; the ZERO test reads p2 alone and holds for whole columns,
-which are never evaluated: they are a prefix of the ascending p2 the
-oracle passes, and are set to 0 at once.  Only the cancel-free test
-(b >= beta2, regime II) is decided per cell,
-between treat-as-noise and the row's cancel-free value.  Every cell gets
-the bits of the scalar terms evaluated with `np.log2`: the same
-expression on the same operands, and `np.log2` always on a fresh
-contiguous array, since numpy may take another inner loop for a strided
-one.
+The lattice maximizes the log argument (1 + x) / (1 + y) of each cell's
+rate term, with the SNRs (x, y) of `achievable._term_snrs`, in place of
+the rate: log2 is monotone, so the same cell wins, up to the rounding of
+the rate's two logarithms, and no logarithm is taken until
+`achievable_rate` evaluates the chosen cell.  Each cell's term is
+evaluated only where its tests select it.  The decode-first and joint
+tests read p1 alone, so they hold for whole rows; the ZERO test reads p2
+alone and holds for whole columns, which are never evaluated: they are a
+prefix of the ascending p2 the oracle passes, and their rate is 0.  Only
+the cancel-free test (b >= beta2, regime II) is decided per cell,
+between treat-as-noise and the row's cancel-free value.  The lattice is
+written a block of rows at a time into one buffer, and each block is
+reduced to its first largest argument before the next, so the whole
+lattice is never held.  Division and addition round correctly, so each
+cell has the bits of the same expression evaluated on the whole lattice
+at once.
 
 NumPy is imported inside the lattice functions, on their first call, so
 the closed forms (`optimal_allocation`, `critical_powers`, the asymptotic
@@ -38,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .achievable import BranchLabel, _conditions, _term_snrs, achievable_rate
 from .model import (
@@ -48,7 +53,6 @@ from .model import (
     PowerAllocation,
     PowerBudget,
     RateValue,
-    _cap,
     _FLOATS,
     _require_finite,
     pos_part,
@@ -186,27 +190,37 @@ def optimal_allocation(gains: ChannelGains, budget: PowerBudget) -> AllocationRe
     return AllocationResult(alloc, rate, AllocationSource.CLOSED_FORM, branch)
 
 
-# The lattice is evaluated in blocks of rows of about this many cells.
-# Temporaries of that size (128 KiB) are reused from the heap; larger ones
-# are mapped and page-faulted in anew on every call, which cost a whole
-# 302 x 302 lattice about a third of its time.
+# The lattice is evaluated in blocks of rows of at most this many cells
+# (or one row), each reduced to its first largest argument before the
+# next is written into the same buffer, so no array has more cells than
+# a block.  Arrays of that size (128 KiB) are reused from the heap;
+# larger ones are mapped and page-faulted in anew on every call.
 _GRID_BLOCK_CELLS = 1 << 14
 
 
-def _rate_grid(a: float, b: float, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Achievable rate on the outer product of two power vectors.
+def _argument_blocks(a: float, b: float, p1: np.ndarray, p2: np.ndarray) -> Iterator[tuple]:
+    """The rate's log argument on the outer product of two power vectors.
 
-    Evaluates the terms and tests of `achievable_rate` on arrays, in
-    blocks of rows, so the lattice oracle stays fast.  Each cell holds
-    the term its tests select, computed by the same expression on the
-    same operands as evaluating every term on the whole lattice would,
-    so the bits match that evaluation.  Returns a (len(p1), len(p2))
-    array.
+    Each cell holds (1 + x) / (1 + y) for the SNRs (x, y) of the rate term
+    that the tests of `achievable_rate` select, so its rate is half the
+    log2 of it, up to rounding, where that is positive, and 0 where the
+    argument is <= 1.  Yields (rows, cols, block): slices of the lattice
+    and its cells there, in ascending rows.  `block` is a view of one
+    buffer that the next block overwrites.
 
-    `p2` should ascend, as `grid_search_allocation` passes it: the ZERO
-    columns (a >= 1 + p2) are then a prefix, which is filled with 0 and
-    never evaluated.  Any order gives the same array; ZERO columns after
-    the first other one are evaluated, then zeroed.
+    A block lies within one run of rows of the same class: decode rows
+    (b >= 1 + p1) take the decode-first term, joint rows (b >= beta1)
+    the joint term, and the other rows treat-as-noise, whose cells with
+    b >= beta2 (regime II only) take the row's cancel-free value instead.
+    In ascending p1 the decode rows come first, then the joint rows, so
+    there are few runs; in any order the cells are the same, in more
+    blocks.
+
+    The ZERO cells (a >= 1 + p2) have rate 0 and argument 1.  `p2` should
+    ascend, as `grid_search_allocation` passes it: the ZERO columns are
+    then a prefix, which no block covers.  In any order the other cells
+    are the same; ZERO columns after the first other one are covered,
+    with argument 1.
     """
     import numpy as np
 
@@ -216,55 +230,41 @@ def _rate_grid(a: float, b: float, p1: np.ndarray, p2: np.ndarray) -> np.ndarray
     # tested once, on its own vector; the other power, 0.0, goes unread.
     _, decode, joint, _ = _conditions(a, b, p1, 0.0)
     zero = _conditions(a, b, 0.0, p2)[0]
-    rates = np.zeros((len(p1), len(p2)))
-    if zero.all():  # a >= 1 + max(p2): every cell is 0, so take no log2
-        return rates
+    if zero.all() or p1.size == 0:  # no cells, or all ZERO: a >= 1 + max(p2)
+        return
     start = int(np.argmin(zero))  # the first column that is not ZERO
+    cols, zero = slice(start, None), zero[start:]
+    late_zero = zero.any()  # only where p2 does not ascend
+    P2 = p2[None, cols]
     row_term = np.where(decode, 0, np.where(joint, 1, 3))
-    rows = max(1, _GRID_BLOCK_CELLS // (len(p2) - start))
-    for i in range(0, len(p1), rows):
-        block = slice(i, i + rows)
-        _rate_block(
-            a, b, p1[block], p2[start:], row_term[block], zero[start:], rates[block, start:]
-        )
-    return rates
+    runs = [0, *(np.flatnonzero(row_term[1:] != row_term[:-1]) + 1).tolist(), len(p1)]
+    height = max(1, _GRID_BLOCK_CELLS // P2.size)
+    buffer = np.empty(min(height, len(p1)) * P2.size)
+    for first, end in zip(runs, runs[1:]):
+        k = int(row_term[first])
+        for i in range(first, end, height):
+            rows = slice(i, min(i + height, end))
+            P1 = p1[rows, None]
+            block = buffer[: P1.size * P2.size].reshape(P1.size, P2.size)
+            _term_argument(k, a, b, P1, P2, block)
+            if k == 3 and a < 1.0:
+                mid = _conditions(a, b, P1, P2)[3]
+                np.copyto(block, _term_argument(2, a, b, P1, 0.0), where=mid)
+            if late_zero:
+                block[:, zero] = 1.0
+            yield rows, cols, block
 
 
-def _rate_block(
-    a: float, b: float, p1: np.ndarray, p2: np.ndarray, row_term: np.ndarray,
-    zero: np.ndarray, out: np.ndarray,
-) -> None:
-    """Write the rate on the lattice p1 x p2 into `out`, one row class at a time.
-
-    `row_term` is the term of each row's decode or joint test, else 3.
-    Decode rows (b >= 1 + p1) take one 2-D log2, joint rows (b >= beta1)
-    two, and the remaining rows two for treat-as-noise, whose cells with
-    b >= beta2 (regime II only) take the row's cancel-free value instead.
-    The `zero` columns (a >= 1 + p2) become 0 last, then negative rates
-    are clipped, as in the scalar rate.
-    """
-    import numpy as np
-
-    P2 = p2[None, :]
-    for k in (0, 1, 3):
-        rows = row_term == k
-        if not rows.any():
-            continue
-        P1 = p1[rows][:, None]
-        rate = _lattice_term(k, a, b, P1, P2)
-        if k == 3 and a < 1.0:
-            mid = _conditions(a, b, P1, P2)[3]
-            np.copyto(rate, _lattice_term(2, a, b, P1, 0.0), where=mid)
-        out[rows] = rate
-    out[:, zero] = 0.0
-    np.maximum(out, 0.0, out=out)
-
-
-def _lattice_term(k: int, a: float, b: float, P1: np.ndarray, P2) -> np.ndarray:
+def _term_argument(k: int, a: float, b: float, P1: np.ndarray, P2, out=None) -> np.ndarray:
+    """(1 + x) / (1 + y) for the SNRs of rate term k, into `out` if given."""
     import numpy as np
 
     x, y = _term_snrs(k, a, b, P1, P2)
-    return _cap(x, np.log2) - _cap(y, np.log2)
+    # 1 + x and 1 + y overwrite the SNRs, which are new arrays, except
+    # where x is P1 itself: a block's worth of temporaries costs more than
+    # the arithmetic.
+    x = np.add(1.0, x, out=None if x is P1 else x)
+    return np.divide(x, np.add(1.0, y, out=y), out=out)
 
 
 def _check_grid_steps(n_steps: int) -> None:
@@ -278,11 +278,14 @@ def grid_search_allocation(
 ) -> AllocationResult:
     """Brute-force maximization over a lattice spanning the budget box.
 
-    Evaluates the rate on an (n_steps+1)^2 lattice augmented with the
-    closed-form critical powers (clamped to the budget, when finite and
-    nonnegative).  Deterministic: ties are broken toward the smallest
-    p1, then the smallest p2.  A cell whose rate is not finite (an SNR
-    overflowed) is never chosen.
+    Searches an (n_steps+1)^2 lattice augmented with the closed-form
+    critical powers (clamped to the budget, when finite and nonnegative)
+    for the largest log argument of the rate (see `_argument_blocks`);
+    log2 is monotone, so no logarithm is taken until the chosen cell is
+    evaluated by `achievable_rate`.  Deterministic: ties are broken toward
+    the smallest p1, then the smallest p2.  Where no argument exceeds 1,
+    every rate is 0 and the cell (0, 0) is chosen.  A cell whose argument
+    is not finite (an SNR overflowed) is never chosen.
     """
     import numpy as np
 
@@ -301,15 +304,21 @@ def grid_search_allocation(
     cand1 = np.unique(cand1)
     cand2 = np.unique(cand2)
 
+    best, i, j = 1.0, 0, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        rates = _rate_grid(a, b, cand1, cand2)
-    # C-order argmax scans p1-major, p2-minor: first maximum found is the
-    # lexicographically smallest allocation among exact ties.  argmax picks
-    # a NaN or +inf cell first, so only then are those cells masked.
-    best = int(np.argmax(rates))
-    if not math.isfinite(rates.flat[best]):
-        best = int(np.argmax(np.where(np.isfinite(rates), rates, -np.inf)))
-    i, j = divmod(best, rates.shape[1])
+        for rows, cols, block in _argument_blocks(a, b, cand1, cand2):
+            # C-order argmax scans p1-major, p2-minor, and a later block
+            # must be strictly larger: the first maximum found is the
+            # lexicographically smallest allocation among exact ties.
+            # argmax picks a NaN or +inf cell first, so only then are
+            # those cells masked.
+            k = int(np.argmax(block))
+            if not math.isfinite(block.flat[k]):
+                np.copyto(block, -np.inf, where=~np.isfinite(block))
+                k = int(np.argmax(block))
+            if block.flat[k] > best:
+                best = block.flat[k]
+                i, j = rows.start + k // block.shape[1], cols.start + k % block.shape[1]
     alloc = PowerAllocation(float(cand1[i]), float(cand2[j]))
     rate, branch = achievable_rate(gains, alloc)
     return AllocationResult(alloc, rate, AllocationSource.GRID_ORACLE, branch)

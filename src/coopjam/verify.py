@@ -12,8 +12,13 @@ A check draws all its samples as one array (`_uniform_rows`), in blocks
 of rows where it rejects some (`_kept_rows`).  NumPy computes
 `rng.uniform(lo, hi)` as lo + (hi - lo) * u from the generator's next
 double u, and so do these, row by row, so every sample has the bits of
-the one-at-a-time `rng.uniform` calls made in the same order, and the
-checks see them as Python floats.
+the one-at-a-time `rng.uniform` calls made in the same order.
+
+The soundness and interferer-off checks evaluate their samples as
+columns, with the sweep's kernels (`_columns`, imported by the checks
+themselves), and replay the rows those flag through the scalar
+functions, as `sweep` does; the other checks see their samples as
+Python floats.
 """
 
 from __future__ import annotations
@@ -117,11 +122,24 @@ def _kept_rows(rng: np.random.Generator, n: int, ranges, keep) -> np.ndarray:
 
 
 def soundness_check(n_samples: int, seed: int) -> CheckResult:
-    """Every achievable rate at a feasible allocation stays below the bound."""
+    """Every achievable rate at a feasible allocation stays below the bound.
+
+    The rate and the bound come from the sweep's column kernels, which
+    flag the rows they cannot vouch for, unsound ones included; those are
+    replayed through `achievable_rate` and `sato_upper_bound`, so a
+    violation is reported with the scalar path's values.
+    """
+    import numpy as np
+
+    from ._columns import _rate_and_bound
+
     rows = _uniform_rows(_rng(seed), n_samples, (_GAIN, _GAIN, _POWER, _POWER, _SHARE, _SHARE))
     rows[:, 4:] *= rows[:, 2:4]
+    a, b, pb1, pb2, p1, p2 = rows.T
+    with np.errstate(all="ignore"):
+        replay = _rate_and_bound(a, b, p1, p2, pb1, pb2)[3]
     result = CheckResult("soundness", n_samples)
-    for a, b, pb1, pb2, p1, p2 in rows.tolist():
+    for a, b, pb1, pb2, p1, p2 in rows[replay].tolist():
         gains = ChannelGains(a, b)
         budget = PowerBudget(pb1, pb2)
         alloc = PowerAllocation(p1, p2)
@@ -194,15 +212,26 @@ def rho_star_check(n_points: int, seed: int) -> CheckResult:
 
 
 def interferer_off_check(n_points: int, seed: int) -> CheckResult:
-    """With the jammer silent, every branch collapses to the wiretap baseline."""
+    """With the jammer silent, every branch collapses to the wiretap baseline.
+
+    The rate comes from the sweep's rate kernel, and a row it flags is
+    replayed through `achievable_rate`; the baseline is `wiretap_capacity`.
+    """
+    import numpy as np
+
+    from ._columns import _rate_columns
+
     rows = _uniform_rows(_rng(seed), n_points, ((0.0, 5.0), (0.0, 8.0), (0.0, 10.0)))
+    with np.errstate(all="ignore"):
+        rates, _, replay = _rate_columns(*rows.T, 0.0)
     result = CheckResult("interferer-off", n_points)
-    for a, b, p1 in rows.tolist():
-        rate, _ = achievable_rate(ChannelGains(a, b), PowerAllocation(p1, 0.0))
+    for (a, b, p1), rate, again in zip(rows.tolist(), rates.tolist(), replay.tolist()):
+        if again:
+            rate = achievable_rate(ChannelGains(a, b), PowerAllocation(p1, 0.0))[0].value
         baseline = wiretap_capacity(a, p1)
-        if abs(rate.value - baseline.value) > DEGENERATION_TOL:
+        if abs(rate - baseline.value) > DEGENERATION_TOL:
             result.violations.append(
-                f"|rate - wiretap| = {abs(rate.value - baseline.value)} at a={a}, b={b}, p1={p1}"
+                f"|rate - wiretap| = {abs(rate - baseline.value)} at a={a}, b={b}, p1={p1}"
             )
     return result
 

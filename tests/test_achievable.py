@@ -15,7 +15,7 @@ from coopjam.achievable import (
 )
 from coopjam.model import ChannelGains, PowerAllocation, gauss_cap
 from coopjam.model import DomainError
-from coopjam.power import _rate_grid
+from coopjam.power import _argument_blocks
 
 
 def rate_at(a, b, p1, p2):
@@ -234,8 +234,11 @@ def test_rate_non_increasing_in_eavesdropper_gain():
 def test_exact_ties_keep_left_closed_labels(a, b, p1, p2, label):
     rate, branch = rate_at(a, b, p1, p2)
     assert str(branch) == label
-    grid = _rate_grid(a, b, np.array([p1]), np.array([p2]))
-    assert grid[0, 0] == pytest.approx(rate.value, abs=1e-12)
+    # The lattice's log argument of this one cell; a ZERO cell is in no
+    # block and has argument 1.
+    blocks = _argument_blocks(a, b, np.array([p1]), np.array([p2]))
+    argument = next((block[0, 0] for _, _, block in blocks), 1.0)
+    assert max(0.5 * math.log2(argument), 0.0) == pytest.approx(rate.value, abs=1e-12)
 
 
 def test_selected_term_overflow_is_a_domain_error():

@@ -14,7 +14,7 @@ from coopjam.model import ChannelGains, DomainError, PowerAllocation, PowerBudge
 from coopjam.power import (
     AllocationSource,
     _allocation_cases,
-    _rate_grid,
+    _argument_blocks,
     asymptotic_rate,
     critical_powers,
     grid_search_allocation,
@@ -145,13 +145,13 @@ class TestGridSearch:
             b = rng.uniform(0.0, 5.0)
             p1s = rng.uniform(0.0, 10.0, size=7)
             p2s = rng.uniform(0.0, 10.0, size=7)
-            matrix = _rate_grid(a, b, np.sort(p1s), np.sort(p2s))
+            matrix = _argument_lattice(a, b, np.sort(p1s), np.sort(p2s))
             for i, p1 in enumerate(np.sort(p1s)):
                 for j, p2 in enumerate(np.sort(p2s)):
                     scalar, _ = achievable_rate(
                         ChannelGains(a, b), PowerAllocation(float(p1), float(p2))
                     )
-                    assert matrix[i, j] == pytest.approx(scalar.value, abs=1e-12)
+                    assert _half_log2(matrix[i, j]) == pytest.approx(scalar.value, abs=1e-12)
 
 
 class TestCriticalPowers:
@@ -340,8 +340,24 @@ def test_overflowing_p2_star_square_is_a_domain_error(capsys):
     assert "(a - 1)^2" in capsys.readouterr().err
 
 
-def _whole_lattice_rate(a, b, p1, p2):
-    """Reference: every rate term on every cell, selected by nested np.where."""
+def _argument_lattice(a, b, p1, p2):
+    """Every cell of `_argument_blocks`, the ZERO prefix's at argument 1."""
+    lattice = np.ones((len(p1), len(p2)))
+    for rows, cols, block in _argument_blocks(a, b, p1, p2):
+        # No block is larger than the block size, unless it is one row.
+        assert block.size <= power._GRID_BLOCK_CELLS or block.shape[0] == 1
+        lattice[rows, cols] = block
+    return lattice
+
+
+def _half_log2(argument):
+    """The rate of a cell with this log argument, clipped at 0 as the rate is."""
+    return max(0.5 * math.log2(argument), 0.0)
+
+
+def _whole_lattice(a, b, p1, p2, term, zero):
+    """Reference: term(x, y) of every rate term's SNRs on every cell,
+    selected by nested np.where; `zero` in the ZERO cells."""
     P1 = np.asarray(p1, dtype=float)[:, None]
     P2 = np.asarray(p2, dtype=float)[None, :]
     if a >= 1.0:
@@ -350,17 +366,28 @@ def _whole_lattice_rate(a, b, p1, p2):
         beta1 = (1.0 + P1) / (1.0 + a * P1)
         beta2 = a * (1.0 + P1) / (1.0 + a * P1 + (1.0 - a) * P2)
 
+    eave = a * P1 / (1.0 + P2)
+    v_decode = term(P1, eave)
+    v_joint = term(P1 + b * P2, a * P1 + P2)
+    v_mid = term(P1, a * P1)
+    v_noise = term(P1 / (1.0 + b * P2), eave)
+    inner = np.where(b >= beta1, v_joint, np.where(b >= beta2, v_mid, v_noise))
+    return np.where(a >= 1.0 + P2, zero, np.where(b >= 1.0 + P1, v_decode, inner))
+
+
+def _whole_lattice_rate(a, b, p1, p2):
+    """The rate on every cell, with np.log2, clipped at 0."""
+
     def cap(x):
         return 0.5 * np.log2(1.0 + x)
 
-    eave = cap(a * P1 / (1.0 + P2))
-    v_decode = cap(P1) - eave
-    v_joint = cap(P1 + b * P2) - cap(a * P1 + P2)
-    v_mid = cap(P1) - cap(a * P1)
-    v_noise = cap(P1 / (1.0 + b * P2)) - eave
-    inner = np.where(b >= beta1, v_joint, np.where(b >= beta2, v_mid, v_noise))
-    rate = np.where(a >= 1.0 + P2, 0.0, np.where(b >= 1.0 + P1, v_decode, inner))
+    rate = _whole_lattice(a, b, p1, p2, lambda x, y: cap(x) - cap(y), 0.0)
     return np.maximum(rate, 0.0)
+
+
+def _whole_lattice_argument(a, b, p1, p2):
+    """The log argument (1 + x) / (1 + y) on every cell, 1 in ZERO cells."""
+    return _whole_lattice(a, b, p1, p2, lambda x, y: (1.0 + x) / (1.0 + y), 1.0)
 
 
 def _reference_lattices(rng):
@@ -386,20 +413,19 @@ def _reference_lattices(rng):
     yield 0.5, 1.5, np.linspace(0.0, 2.0, 7), np.empty(0)
 
 
-def test_rate_grid_bytes_equal_whole_lattice_reference():
-    # The row-partitioned lattice must give every cell the bits of the
-    # whole-lattice evaluation on this machine, NaN and zeros included.
+def test_argument_lattice_bytes_equal_whole_lattice_reference():
+    # The row-partitioned blocks must give every cell the bits of the
+    # whole-lattice evaluation on this machine, NaN and ZERO cells included.
     rng = np.random.default_rng(53)
     with np.errstate(all="ignore"):
         for a, b, p1, p2 in _reference_lattices(rng):
-            got = _rate_grid(a, b, p1, p2)
-            want = _whole_lattice_rate(a, b, p1, p2)
-            assert got.shape == want.shape == (len(p1), len(p2))
-            assert got.dtype == want.dtype
+            got = _argument_lattice(a, b, p1, p2)
+            want = np.broadcast_to(_whole_lattice_argument(a, b, p1, p2), got.shape)
+            assert got.shape == (len(p1), len(p2))
             assert np.array_equal(got.tobytes(), want.tobytes()), (a, b)
 
 
-def test_rate_grid_matches_scalar_rate_in_every_row_class():
+def test_argument_lattice_matches_scalar_rate_in_every_row_class():
     # Decode and joint tests hold per row, ZERO per column, and regime II's
     # cancel-free test per cell; each class must appear in some lattice.
     # ZERO needs a >= 1 + p2 and the cancel-free term a < 1, so each of
@@ -408,14 +434,14 @@ def test_rate_grid_matches_scalar_rate_in_every_row_class():
     p1 = np.linspace(0.0, 4.0, 21)
     p2 = np.linspace(0.0, 4.0, 21)
     for a, b in ((0.5, 1.5), (0.5, 0.8), (2.0, 1.5), (2.0, 0.5)):
-        grid = _rate_grid(a, b, p1, p2)
+        grid = _argument_lattice(a, b, p1, p2)
         labels = np.empty(grid.shape, dtype=object)
         for i, x in enumerate(p1):
             for j, y in enumerate(p2):
                 rate, label = achievable_rate(
                     ChannelGains(a, b), PowerAllocation(float(x), float(y))
                 )
-                assert grid[i, j] == pytest.approx(rate.value, abs=1e-12)
+                assert _half_log2(grid[i, j]) == pytest.approx(rate.value, abs=1e-12)
                 labels[i, j] = str(label)
         regime = "I" if a >= 1.0 else "II"
         seen.update(f"{regime} zero column" for col in labels.T if set(col) == {"ZERO-1"})
@@ -438,6 +464,54 @@ def test_rate_grid_matches_scalar_rate_in_every_row_class():
         "II joint row",
         "II mixed row",
     }
+
+
+def _whole_lattice_rate_cell(gains, budget, n_steps):
+    """(p1, p2) of the first largest finite rate on the whole lattice, with
+    the candidate powers `grid_search_allocation` builds."""
+    a, b = gains.a, gains.b
+    cand1 = np.linspace(0.0, budget.p1_max, n_steps + 1)
+    cand2 = np.linspace(0.0, budget.p2_max, n_steps + 1)
+    if b - 1.0 >= 0.0:
+        cand1 = np.append(cand1, min(b - 1.0, budget.p1_max))
+    if a * b < 1.0:
+        p2_star = critical_powers(gains, budget).p2_star
+        if math.isfinite(p2_star) and p2_star >= 0.0:
+            cand2 = np.append(cand2, min(p2_star, budget.p2_max))
+    cand1, cand2 = np.unique(cand1), np.unique(cand2)
+    with np.errstate(all="ignore"):
+        rates = _whole_lattice_rate(a, b, cand1, cand2)
+    # The clipped rates are never -inf, so argmax finds a NaN or +inf cell
+    # first exactly when one exists; masking them then is masking always.
+    rates = np.where(np.isfinite(rates), rates, -np.inf)
+    i, j = divmod(int(np.argmax(rates)), rates.shape[1])
+    return float(cand1[i]), float(cand2[j])
+
+
+@pytest.mark.parametrize(
+    "gains, budget",
+    [
+        ((4.0, 0.5), (2.0, 2.0)),  # every cell is ZERO
+        ((0.5, 1.5), (0.0, 2.0)),  # one row
+        ((0.5, 0.5), (2.0, 0.0)),  # one column
+        ((2.0, 2.0), (1e308, 1e308)),  # NaN and +inf cells
+        ((1e200, 0.5), (1e200, 1e200)),  # unselected terms overflow
+    ],
+    ids=["all-zero", "one-row", "one-column", "overflow", "unselected-overflow"],
+)
+def test_grid_picks_the_whole_lattice_rate_argmax_cell(gains, budget):
+    gains, budget = ChannelGains(*gains), PowerBudget(*budget)
+    grid = grid_search_allocation(gains, budget, 300)
+    assert (grid.alloc.p1, grid.alloc.p2) == _whole_lattice_rate_cell(gains, budget, 300)
+
+
+def test_grid_picks_the_whole_lattice_rate_argmax_cell_in_the_verify_box():
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        gains = ChannelGains(*rng.uniform(0.05, 5.0, size=2).tolist())
+        budget = PowerBudget(*rng.uniform(0.1, 10.0, size=2).tolist())
+        grid = grid_search_allocation(gains, budget, 300)
+        assert (grid.alloc.p1, grid.alloc.p2) == _whole_lattice_rate_cell(gains, budget, 300)
 
 
 def test_grid_steps_below_two_exit_2_before_any_output(capsys):

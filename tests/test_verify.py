@@ -6,22 +6,39 @@ import math
 import numpy as np
 import pytest
 
+import coopjam._columns as columns
+import coopjam.bound as bound
 import coopjam.verify as verify
-from coopjam.achievable import Thresholds
+from coopjam.achievable import Thresholds, achievable_rate, wiretap_capacity
+from coopjam.bound import sato_upper_bound
 from coopjam.model import ChannelGains, PowerAllocation, PowerBudget
 
 
 def _record(monkeypatch, names):
-    """Calls of the named `coopjam.verify` globals, as (name, args), in order."""
+    """Calls of the named `coopjam.verify` globals, or of the `_columns`
+    kernels that checks import themselves, as (name, args), in order.
+
+    An array argument is recorded as its bytes, so samples compare bit
+    for bit."""
     calls = []
     for name in names:
+        module = verify if hasattr(verify, name) else columns
 
-        def recorded(*args, _fn=getattr(verify, name), _name=name):
-            calls.append((_name, args))
+        def recorded(*args, _fn=getattr(module, name), _name=name):
+            calls.append((_name, tuple(_bits(arg) for arg in args)))
             return _fn(*args)
 
-        monkeypatch.setattr(verify, name, recorded)
+        monkeypatch.setattr(module, name, recorded)
     return calls
+
+
+def _bits(arg):
+    return arg.tobytes() if isinstance(arg, np.ndarray) else arg
+
+
+def _column_bits(rows):
+    """The bytes of each column of `rows`, as a kernel receives them."""
+    return tuple(np.array(column, dtype=float).tobytes() for column in zip(*rows))
 
 
 # The references draw one value per rng.uniform call, rejection loops
@@ -35,14 +52,23 @@ def _budget(rng):
     return PowerBudget(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0))
 
 
-def _soundness(rng, n):
+def _soundness_samples(rng, n):
     for _ in range(n):
         gains, budget = _gains(rng), _budget(rng)
         alloc = PowerAllocation(
             rng.uniform(0.0, budget.p1_max), rng.uniform(0.0, budget.p2_max)
         )
-        yield "achievable_rate", (gains, alloc)
-        yield "sato_upper_bound", (gains, budget)
+        yield gains, budget, alloc
+
+
+def _soundness(rng, n):
+    # One call of the column kernels on every sample; a row they flag would
+    # be replayed by the scalar functions, which are not recorded here.
+    rows = [
+        (gains.a, gains.b, alloc.p1, alloc.p2, budget.p1_max, budget.p2_max)
+        for gains, budget, alloc in _soundness_samples(rng, n)
+    ]
+    yield "_rate_and_bound", _column_bits(rows)
 
 
 def _power_oracle(n_steps):
@@ -66,10 +92,16 @@ def _rho_star(rng, n):
         yield "rho_min_oracle", (gains, alloc)
 
 
-def _interferer_off(rng, n):
+def _interferer_off_samples(rng, n):
     for _ in range(n):
-        a, b, p1 = rng.uniform(0.0, 5.0), rng.uniform(0.0, 8.0), rng.uniform(0.0, 10.0)
-        yield "achievable_rate", (ChannelGains(a, b), PowerAllocation(p1, 0.0))
+        yield rng.uniform(0.0, 5.0), rng.uniform(0.0, 8.0), rng.uniform(0.0, 10.0)
+
+
+def _interferer_off(rng, n):
+    # The rate kernel on every sample with p2 = 0, then the scalar baseline.
+    rows = list(_interferer_off_samples(rng, n))
+    yield "_rate_columns", (*_column_bits(rows), 0.0)
+    for a, b, p1 in rows:
         yield "wiretap_capacity", (a, p1)
 
 
@@ -157,3 +189,46 @@ def test_uniform_rows_leave_the_generator_where_single_draws_do():
     want = [[one.uniform(lo, hi) for lo, hi in ranges] for _ in range(300)]
     assert verify._uniform_rows(rows, 300, ranges).tolist() == want
     assert one.random() == rows.random()
+
+
+def _scalar_soundness(n, seed):
+    """soundness_check's violations, by the scalar functions at every sample."""
+    violations = []
+    for gains, budget, alloc in _soundness_samples(np.random.default_rng(seed), n):
+        rate, _ = achievable_rate(gains, alloc)
+        upper = sato_upper_bound(gains, budget).final_bound
+        if rate.value > upper.value + bound.SOUNDNESS_TOL:
+            violations.append(f"rate {rate.value} > bound {upper.value} at {gains}, {alloc}")
+    return violations
+
+
+def _scalar_interferer_off(n, seed):
+    """interferer_off_check's violations, by the scalar functions at every sample."""
+    violations = []
+    for a, b, p1 in _interferer_off_samples(np.random.default_rng(seed), n):
+        rate, _ = achievable_rate(ChannelGains(a, b), PowerAllocation(p1, 0.0))
+        gap = abs(rate.value - wiretap_capacity(a, p1).value)
+        if gap > verify.DEGENERATION_TOL:
+            violations.append(f"|rate - wiretap| = {gap} at a={a}, b={b}, p1={p1}")
+    return violations
+
+
+@pytest.mark.parametrize(
+    "check, scalar, module, tolerance, value",
+    [
+        (verify.soundness_check, _scalar_soundness, bound, "SOUNDNESS_TOL", -math.inf),
+        (verify.interferer_off_check, _scalar_interferer_off, verify, "DEGENERATION_TOL", -1.0),
+    ],
+    ids=["soundness", "interferer-off"],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_column_checks_report_what_the_scalar_path_reports(
+    monkeypatch, check, scalar, module, tolerance, value, seed
+):
+    # With the tolerance moved so that every sample violates, each row goes
+    # through the report: the columns' replay for soundness, the columns'
+    # own rate for interferer-off.  Both must print the scalar path's values.
+    monkeypatch.setattr(module, tolerance, value)
+    want = scalar(50, seed)
+    assert len(want) == 50
+    assert check(50, seed).violations == want
