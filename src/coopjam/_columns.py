@@ -1,51 +1,53 @@
 """NumPy columns of the scalar functions: the kernels behind `sweep.run_sweep`
 and `verify`'s soundness and interferer-off checks.
 
-This is the only module of the sweep that imports NumPy, and
-`run_sweep` imports it on its first call, as those checks do, so
-`import coopjam` and the scalar commands never load NumPy.
+It is the one module that imports NumPy at its top; `run_sweep` and
+those checks import it on their first call, so `import coopjam` and the
+scalar commands never load NumPy.  It imports only `achievable`,
+`bound`, `model` and `power`.
 
-A sweep's curve is evaluated as columns over the abscissa, a block of
-rows at a time: the allocation (the closed-form cases of `power`,
-selected per row), the rate's interval tests and branch label, the
-rate, and the full-budget bound.  `verify` passes its samples as the
-columns instead.  The columns reuse the very formulas of the scalar
-functions, which take their `min`, `sqrt`, square, `where` and `log2`
-as one `ops` argument, so every value is bit-identical to
-`optimal_allocation`, `achievable_rate` and `sato_upper_bound` at that
-row.  The rule that makes it exact: NumPy does only correctly rounded
+Each kernel takes gains, powers and budgets as columns (a sweep's block
+of rows, `verify`'s samples) and gives, bit-identical to the scalar
+function at every row, the allocation of `optimal_allocation`, the rate
+and branch code of `achievable_rate`, or the bound of
+`sato_upper_bound`.  It reuses their very formulas, which take their
+`min`, `sqrt`, square, `where` and `log2` as one `ops` (`_COLUMNS`
+here).  The rule that makes it exact: NumPy does only correctly rounded
 operations (+, -, *, /, sqrt, and each square as x * x, as the scalar
 `_square` does), comparisons and selection, in the scalar code's
 expression order.  Only log2 goes through libm (`math.log2`), one
 element at a time, because NumPy's log2 rounds differently from libm in
 about 0.1% of inputs.
 
-The columns restate no rule or tolerance of the scalar path.  Each has
-one owner, called here with `_COLUMNS`, the column `ops`: the interval
-tests, branch codes and labels and the misselection test
-(`achievable._conditions`, `_branch_code`, `_LABELS`, `_misselected`),
-the allocation's cases of both regimes and p2_star
-(`power._allocation_cases`, `_p2_star_terms`), rho_star, when
-f(rho_star) is evaluated directly, the final bound and soundness
-(`bound._rho_root`, `_direct`, `_final_bound`, `_unsound`), and which
-values a RateValue accepts (`model._valid_rate`).
+Each rule has one owner, which both paths call: the interval tests,
+branch codes and misselection (`achievable._conditions`, `_branch_code`,
+`_misselected`), the allocation's cases, p2_star and whether it exists
+(`power._allocation_cases`, `_p2_star_terms`, `_p2_star_exists`),
+rho_star, when f(rho_star) is evaluated directly, whether f's numerator
+is positive, the final bound and soundness (`bound._rho_root`,
+`_direct`, `_f_defined`, `_final_bound`, `_unsound`), and the first test
+that holds, the clip at 0, the budget and the values a RateValue accepts
+(`model._first`, `_clip`, `_in_budget`, `_valid_rate`).  Both paths
+write one rule: p2_star is +inf where b == 0 (here and in
+`critical_powers`), because Python's 1.0 / b raises where NumPy's gives
+inf.
 
-Each kernel also names the rows the columns cannot vouch for; `sweep`
-and `verify` replay those through the scalar functions.
+Where the scalar code raises, a kernel gives NaN, so each kernel sets
+its own `np.errstate(all="ignore")`, and it names the rows it cannot
+vouch for; `sweep` and `verify` replay those through the scalar
+functions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
-from .achievable import _LABELS, _branch_code, _conditions, _misselected, _term_snrs
-from .bound import _direct, _f_log_arg, _final_bound, _rho_root, _star_terms, _unsound
-from .model import _cap, _Ops, _valid_rate
-from .power import _allocation_cases, _p2_star_terms
-from .sweep import PowerMode, SweepSpec, _gain_pair
+from .achievable import _branch_code, _conditions, _misselected, _term_snrs
+from .bound import _direct, _f_defined, _f_log_arg, _final_bound, _rho_root, _star_terms, _unsound
+from .model import _cap, _clip, _first, _in_budget, _Ops, _valid_rate
+from .power import _allocation_cases, _p2_star_exists, _p2_star_terms
 
 
 def _log2(x):
@@ -68,41 +70,43 @@ _COLUMNS = _Ops(lambda x, y: np.where(y < x, y, x), np.sqrt, _square, np.where, 
 
 def _allocation_columns(a, b, pb1, pb2):
     """p1, p2 of `optimal_allocation` per row, and the rows it cannot vouch for."""
-    tests, p1s, p2s = _allocation_cases(a, b, pb1, pb2, _COLUMNS)
-    p2_star = _p2_star_terms(a, b, pb1, _COLUMNS)
-    p2_star = np.where(b == 0.0, np.inf, p2_star)
-    case = np.select(tests, range(len(tests)))
-    jam = np.choose(case, [p2 is None for p2 in p2s])
-    p1 = np.choose(case, p1s)
-    p2 = np.choose(case, [_COLUMNS.min(pb2, p2_star) if p2 is None else p2 for p2 in p2s])
-    replay = jam & ~(p2_star >= 0.0)
-    # PowerAllocation's checks, and allocation within the budget.
-    replay |= ~((0.0 <= p1) & (p1 <= pb1) & (0.0 <= p2) & (p2 <= pb2))
+    with np.errstate(all="ignore"):
+        tests, p1s, p2s = _allocation_cases(a, b, pb1, pb2, _COLUMNS)
+        p2_star = np.where(b == 0.0, np.inf, _p2_star_terms(a, b, pb1, _COLUMNS))
+        case = _first(tests, _COLUMNS)
+        jam = np.choose(case, [p2 is None for p2 in p2s])
+        p1 = np.choose(case, p1s)
+        p2 = np.choose(case, [_COLUMNS.min(pb2, p2_star) if p2 is None else p2 for p2 in p2s])
+        # PowerAllocation's checks and `within`, and p2_star where it is used.
+        replay = (jam & ~_p2_star_exists(p2_star)) | ~_in_budget(p1, p2, pb1, pb2)
     return p1, p2, replay
 
 
 def _rate_columns(a, b, p1, p2):
     """The rate and branch code of `achievable_rate` per row, and rows to replay."""
-    zero, decode, joint, mid = _conditions(a, b, p1, p2, _COLUMNS)
-    k = np.select([decode, joint, mid], [0, 1, 2], 3)
-    xs, ys = zip(*(_term_snrs(t, a, b, p1, p2) for t in range(4)))
-    x, y = np.choose(k, xs), np.choose(k, ys)
-    raw = _cap(x, _COLUMNS.log2) - _cap(y, _COLUMNS.log2)
-    rate = np.where(zero | ~(raw > 0.0), 0.0, raw)
-    code = np.where(zero, 0, _branch_code(a, k, _COLUMNS))
-    bad = ~np.isfinite(raw) | _misselected(raw, a, k)
+    with np.errstate(all="ignore"):
+        zero, decode, joint, mid = _conditions(a, b, p1, p2, _COLUMNS)
+        k = _first((decode, joint, mid), _COLUMNS)
+        xs, ys = zip(*(_term_snrs(t, a, b, p1, p2) for t in range(4)))
+        x, y = np.choose(k, xs), np.choose(k, ys)
+        raw = _cap(x, _COLUMNS.log2) - _cap(y, _COLUMNS.log2)
+        rate = np.where(zero, 0.0, _clip(raw, _COLUMNS))
+        code = np.where(zero, 0, _branch_code(a, k, _COLUMNS))
+        bad = ~np.isfinite(raw) | _misselected(raw, a, k)
     return rate, code, ~zero & bad
 
 
 def _bound_columns(a, b, pb1, pb2):
     """final_bound of `sato_upper_bound` per row, and the rows to replay."""
-    s, m, _, _, delta = _star_terms(a, b, pb1, pb2, _COLUMNS)
-    rho = _rho_root(s, m, delta, _COLUMNS)
-    num, arg = _f_log_arg(a, b, pb1, pb2, rho, _COLUMNS)
-    f_at = 0.5 * _COLUMNS.log2(arg)
-    # The cancelled form near rho = 1 or a NaN root, and `_f_value`'s check.
-    replay = ~_direct(rho) | ~(num > 0.0) | ~np.isfinite(f_at)
-    return _final_bound(f_at, pb1, _COLUMNS), replay
+    with np.errstate(all="ignore"):
+        s, m, _, _, delta = _star_terms(a, b, pb1, pb2, _COLUMNS)
+        rho = _rho_root(s, m, delta, _COLUMNS)
+        num, arg = _f_log_arg(a, b, pb1, pb2, rho, _COLUMNS)
+        f_at = 0.5 * _COLUMNS.log2(arg)
+        # The cancelled form near rho = 1 or a NaN root, and `_f_value`'s check.
+        replay = ~_direct(rho) | ~_f_defined(num) | ~np.isfinite(f_at)
+        bound = _final_bound(f_at, pb1, _COLUMNS)
+    return bound, replay
 
 
 def _rate_and_bound(a, b, p1, p2, pb1, pb2):
@@ -115,55 +119,7 @@ def _rate_and_bound(a, b, p1, p2, pb1, pb2):
     """
     rate, code, bad_rate = _rate_columns(a, b, p1, p2)
     bound, bad_bound = _bound_columns(a, b, pb1, pb2)
-    replay = bad_rate | bad_bound | _unsound(rate, bound)
-    replay |= ~_valid_rate(rate) | ~_valid_rate(bound)
-    return rate, code, bound, replay
-
-
-# Columns are evaluated this many rows at a time, so that their
-# temporaries stay small next to the rows a long sweep returns.
-_BLOCK_ROWS = 4096
-
-
-def column_blocks(spec: SweepSpec) -> Iterator[tuple]:
-    """`spec`'s steps+1 rows in ascending abscissa, as blocks of columns.
-
-    Each block is (x, rate, bound, p1, p2, labels, replay): Python lists
-    of the abscissae, the rate and bound values and the powers, an
-    iterator over the branch labels, then the ascending indices of the
-    rows to replay, whose values the columns do not vouch for.  A
-    degenerate range (start == end) is a single row.
-    """
-    if spec.start == spec.end:
-        x = np.array([spec.start])
-    else:
-        span = spec.end - spec.start
-        x = spec.start + span * (np.arange(spec.steps + 1) / spec.steps)
-    for i in range(0, x.size, _BLOCK_ROWS):
-        yield _block_columns(spec, x[i : i + _BLOCK_ROWS])
-
-
-def _block_columns(spec: SweepSpec, x: np.ndarray) -> tuple:
-    """The columns at abscissae `x`, and the rows they cannot vouch for."""
-    # The fixed gain becomes a 0-d array, so that every operation on it is
-    # NumPy's and a division by zero in a discarded case cannot raise.
-    a, b = _gain_pair(spec, x, np.asarray(spec.fixed_gain))
-    pb1, pb2 = spec.budget.p1_max, spec.budget.p2_max
-    n = x.size
-
     with np.errstate(all="ignore"):
-        if spec.power_mode is PowerMode.OPTIMAL_CONTROL:
-            p1, p2, replay = _allocation_columns(a, b, pb1, pb2)
-        else:
-            p1, p2, replay = pb1, pb2, False
-        rate, code, bound, bad = _rate_and_bound(a, b, p1, p2, pb1, pb2)
-        replay = replay | bad
-    return (
-        x.tolist(),
-        rate.tolist(),
-        bound.tolist(),
-        np.broadcast_to(p1, n).tolist(),
-        np.broadcast_to(p2, n).tolist(),
-        map(_LABELS.__getitem__, code.tolist()),
-        np.flatnonzero(replay).tolist(),
-    )
+        replay = bad_rate | bad_bound | _unsound(rate, bound)
+        replay |= ~_valid_rate(rate) | ~_valid_rate(bound)
+    return rate, code, bound, replay

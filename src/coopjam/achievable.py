@@ -38,6 +38,8 @@ from .model import (
     PowerAllocation,
     RateValue,
     _cap,
+    _clip,
+    _first,
     _FLOATS,
     _require_finite,
     gauss_cap,
@@ -186,7 +188,7 @@ def achievable_rate(
     zero, decode, joint, mid = _conditions(a, b, p1, p2)
     if zero:
         return RateValue(0.0), _LABELS[0]
-    k = 0 if decode else 1 if joint else 2 if mid else 3
+    k = _first((decode, joint, mid))
     x, y = _term_snrs(k, a, b, p1, p2)
     raw = _cap(x, math.log2) - _cap(y, math.log2)
     branch = _LABELS[_branch_code(a, k)]
@@ -194,7 +196,7 @@ def achievable_rate(
         raise DomainError(f"rate of branch {branch} overflows at {gains}, {alloc}")
     if _misselected(raw, a, k):
         raise InvariantViolation(f"rate {raw} < 0 in {branch} at {gains}, {alloc}")
-    return RateValue(raw if raw > 0.0 else 0.0), branch
+    return RateValue(_clip(raw)), branch
 
 
 def wiretap_capacity(a: float, p1: float) -> RateValue:

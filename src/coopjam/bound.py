@@ -15,9 +15,9 @@ The final capacity bound additionally caps this with the jamming-free
 direct-link capacity g(P1_max).
 
 The rules that decide the bound (`_star_terms`, `_rho_root`, `_direct`,
-`_final_bound`, `_unsound`) take float or array inputs, with one `ops`
-of stand-ins for `min`, `sqrt`, the square, `where` and `log2` to match,
-so the columns of `sweep` and `verify` reuse them.
+`_f_defined`, `_final_bound`, `_unsound`) take float or array inputs,
+with one `ops` of stand-ins for `min`, `sqrt`, the square, `where` and
+`log2` to match, so the columns of `sweep` and `verify` reuse them.
 
 `rho_min_oracle` re-derives the minimizer numerically (golden-section
 over the convex profile) and exists purely to cross-check rho_star.
@@ -31,11 +31,11 @@ from dataclasses import dataclass
 from .model import (
     ChannelGains,
     DomainError,
-    InvariantViolation,
     PowerAllocation,
     PowerBudget,
     RateValue,
     _cap,
+    _clip,
     _FLOATS,
     _real,
 )
@@ -108,14 +108,20 @@ def sato_f(
 
 
 def _f_value(a: float, b: float, p1: float, p2: float, r: float) -> float:
-    """f at a checked rho; a nonpositive log argument is an InvariantViolation."""
+    """f at a checked rho; a numerator that is not positive is a DomainError."""
     num, arg = _f_log_arg(a, b, p1, p2, r)
-    if num <= 0.0:
-        # Analytically impossible for |rho| < 1; report, never clamp.
-        raise InvariantViolation(
-            f"nonpositive log argument {num} at a={a}, b={b}, p1={p1}, p2={p2}, rho={r}"
+    if not _f_defined(num):
+        # Positive for |rho| < 1, but A*B and (rho + s)^2 may cancel in floats.
+        raise DomainError(
+            f"A*B - (rho + s)^2 in the bound is {num}, not > 0, in floats"
+            f" at a={a}, b={b}, p1={p1}, p2={p2}, rho={r}"
         )
     return 0.5 * math.log2(arg)
+
+
+def _f_defined(num):
+    """Where f's log argument, of numerator `num`, is positive; float or array."""
+    return num > 0.0
 
 
 def _f_log_arg(a, b, p1, p2, r, ops=_FLOATS):
@@ -168,8 +174,7 @@ def _direct(rho):
 
 def _final_bound(f_at, p1, ops=_FLOATS):
     """max(min(f(rho*), g(p1)), 0), for float or array `f_at` and `p1`."""
-    bound = ops.min(f_at, _cap(p1, ops.log2))
-    return ops.where(bound > 0.0, bound, 0.0)
+    return _clip(ops.min(f_at, _cap(p1, ops.log2)), ops)
 
 
 def _unsound(rate, bound):

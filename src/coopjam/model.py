@@ -99,7 +99,12 @@ class PowerAllocation:
 
     def within(self, budget: PowerBudget) -> bool:
         """True when this allocation respects both limits of `budget`."""
-        return self.p1 <= budget.p1_max and self.p2 <= budget.p2_max
+        return _in_budget(self.p1, self.p2, budget.p1_max, budget.p2_max)
+
+
+def _in_budget(p1, p2, pb1, pb2):
+    """Where powers p1, p2 are >= 0 and within limits pb1, pb2; float or array."""
+    return (0.0 <= p1) & (p1 <= pb1) & (0.0 <= p2) & (p2 <= pb2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,7 +153,7 @@ def _cap(x, log2):
 
 def pos_part(x: float) -> float:
     """max(x, 0); the clipping applied to rate differences."""
-    return x if x > 0.0 else 0.0
+    return _clip(x)
 
 
 def _square(x: float, name: str) -> float:
@@ -167,3 +172,16 @@ def _square(x: float, name: str) -> float:
 # in `verify`.
 _Ops = namedtuple("_Ops", "min sqrt square where log2")
 _FLOATS = _Ops(min, math.sqrt, _square, lambda test, x, y: x if test else y, math.log2)
+
+
+def _clip(x, ops=_FLOATS):
+    """max(x, 0) as x where x > 0, else 0.0 (NaN included); float or array `x`."""
+    return ops.where(x > 0.0, x, 0.0)
+
+
+def _first(tests, ops=_FLOATS):
+    """The index of the first of `tests` that holds, len(tests) where none does."""
+    first = len(tests)
+    for k in reversed(range(first)):
+        first = ops.where(tests[k], k, first)
+    return first

@@ -53,6 +53,7 @@ from .model import (
     PowerAllocation,
     PowerBudget,
     RateValue,
+    _first,
     _FLOATS,
     _require_finite,
     pos_part,
@@ -139,6 +140,11 @@ def _p2_star_terms(a, b, pb1, ops=_FLOATS):
     return ops.where(radicand >= -_RADICAND_TOL, p2_star, math.nan)
 
 
+def _p2_star_exists(p2_star):
+    """Where `p2_star` exists: >= 0, so not NaN; float or array."""
+    return p2_star >= 0.0
+
+
 def _allocation_cases(a, b, pb1, pb2, ops=_FLOATS):
     """The closed-form cases of both regimes: their tests, p1s and p2s.
 
@@ -176,11 +182,11 @@ def optimal_allocation(gains: ChannelGains, budget: PowerBudget) -> AllocationRe
     a, b = gains.a, gains.b
     pb1, pb2 = budget.p1_max, budget.p2_max
     tests, p1s, p2s = _allocation_cases(a, b, pb1, pb2)
-    k = tests.index(True)
+    k = _first(tests)
     p1, p2 = p1s[k], p2s[k]
     if p2 is None:
         p2_star = critical_powers(gains, budget).p2_star
-        if not p2_star >= 0.0:
+        if not _p2_star_exists(p2_star):
             raise InvariantViolation(f"p2_star {p2_star} < 0 at {gains}, {budget}")
         p2 = min(pb2, p2_star)
     alloc = PowerAllocation(p1, p2)
@@ -299,7 +305,7 @@ def grid_search_allocation(
         cand1 = np.append(cand1, min(b - 1.0, pb1))
     if a * b < 1.0:
         p2_star = critical_powers(gains, budget).p2_star
-        if math.isfinite(p2_star) and p2_star >= 0.0:
+        if math.isfinite(p2_star) and _p2_star_exists(p2_star):
             cand2 = np.append(cand2, min(p2_star, pb2))
     cand1 = np.unique(cand1)
     cand2 = np.unique(cand2)

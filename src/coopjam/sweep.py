@@ -6,12 +6,12 @@ allocation, the achievable rate, and the capacity upper bound.  Every
 emitted row is checked against the soundness invariant
 achievable <= upper_bound + 1e-9.
 
-A curve is evaluated as NumPy columns over the abscissa, a block of
-rows at a time, by the private module `_columns`: the allocation, the
-rate's tests and branch label, the rate, and the full-budget bound, each
+`run_sweep` evaluates a curve as NumPy columns over the abscissa, 4,096
+rows at a time, with the kernels of the private module `_columns`: the
+allocation, the rate and its branch, and the full-budget bound, each
 bit-identical to `optimal_allocation`, `achievable_rate` and
-`sato_upper_bound` at that abscissa.  `run_sweep` imports `_columns`,
-and with it NumPy, on its first call; this module does not import NumPy.
+`sato_upper_bound` at that abscissa.  It imports `_columns`, and with it
+NumPy, on its first call; this module does not import NumPy.
 
 A row replays the scalar path instead when the columns cannot vouch for
 it: when its bound takes the cancelled form (rho* >= 1 - 1e-9), when a
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 
-from .achievable import BranchLabel, achievable_rate
+from .achievable import _LABELS, BranchLabel, achievable_rate
 from .bound import _unsound, sato_upper_bound
 from .model import (
     ChannelGains,
@@ -61,9 +61,10 @@ __all__ = [
 
 CSV_HEADER = "x,achievable_rate,upper_bound,p1,p2,branch"
 
-# render_csv joins this many lines at a time, so that no more than one
-# block's line strings are alive next to the text, whatever the row count.
-_CSV_BLOCK_LINES = 4096
+# run_sweep evaluates its columns, and render_csv joins its lines, this
+# many rows at a time, so that one block's temporaries or line strings
+# stay small next to the rows, whatever the row count.
+_BLOCK_ROWS = 4096
 
 
 class PowerMode(Enum):
@@ -206,16 +207,33 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     A degenerate range (start == end) collapses to the single row the
     single-point commands would produce.
     """
-    from ._columns import column_blocks  # imports NumPy on the first sweep
+    import numpy as np
 
+    from ._columns import _allocation_columns, _rate_and_bound
+
+    if spec.start == spec.end:
+        xs = np.array([spec.start])
+    else:
+        xs = spec.start + (spec.end - spec.start) * (np.arange(spec.steps + 1) / spec.steps)
+    pb1, pb2 = spec.budget.p1_max, spec.budget.p2_max
+    labels = np.array(_LABELS, dtype=object)
     columns: tuple = ([], [], [], [], [], [])
-    for *block, replay in column_blocks(spec):
-        start = len(columns[0])
-        for column, values in zip(columns, block):
-            column += values
+    for start in range(0, xs.size, _BLOCK_ROWS):
+        x = xs[start : start + _BLOCK_ROWS]
+        # The fixed gain becomes a 0-d array, so that every operation on it is
+        # NumPy's and a division by zero in a discarded case cannot raise.
+        a, b = _gain_pair(spec, x, np.asarray(spec.fixed_gain))
+        if spec.power_mode is PowerMode.OPTIMAL_CONTROL:
+            p1, p2, replay = _allocation_columns(a, b, pb1, pb2)
+        else:
+            p1, p2, replay = pb1, pb2, False
+        rate, code, bound, bad = _rate_and_bound(a, b, p1, p2, pb1, pb2)
+        p1, p2 = np.broadcast_to(p1, x.size), np.broadcast_to(p2, x.size)
+        for column, values in zip(columns, (x, rate, bound, p1, p2, labels[code])):
+            column += values.tolist()
         # In ascending abscissa, so the first row that raises is the one the
         # row-by-row evaluation would raise at.
-        for k in (start + i for i in replay):
+        for k in (start + i for i in np.flatnonzero(replay | bad).tolist()):
             for column, value in zip(columns, _fields(_scalar_row(spec, columns[0][k]))):
                 column[k] = value
     return SweepTable(columns)
@@ -243,5 +261,5 @@ def render_csv(rows: Sequence[SweepRow]) -> str:
     line = "%.12g,%.12g,%.12g,%.12g,%.12g,%s".__mod__
     lines = map(line, zip(x, rate, bound, p1, p2, names))
     # No line is empty, so neither is a block until the lines run out.
-    blocks = iter(lambda: "\n".join(islice(lines, _CSV_BLOCK_LINES)), "")
+    blocks = iter(lambda: "\n".join(islice(lines, _BLOCK_ROWS)), "")
     return "\n".join([CSV_HEADER, *blocks, ""])

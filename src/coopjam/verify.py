@@ -16,9 +16,9 @@ the one-at-a-time `rng.uniform` calls made in the same order.
 
 The soundness and interferer-off checks evaluate their samples as
 columns, with the sweep's kernels (`_columns`, imported by the checks
-themselves), and replay the rows those flag through the scalar
-functions, as `sweep` does; the other checks see their samples as
-Python floats.
+themselves, which set their own floating-point error state), and replay
+the rows those flag through the scalar functions, as `sweep` does; the
+other checks see their samples as Python floats.
 """
 
 from __future__ import annotations
@@ -129,15 +129,12 @@ def soundness_check(n_samples: int, seed: int) -> CheckResult:
     replayed through `achievable_rate` and `sato_upper_bound`, so a
     violation is reported with the scalar path's values.
     """
-    import numpy as np
-
     from ._columns import _rate_and_bound
 
     rows = _uniform_rows(_rng(seed), n_samples, (_GAIN, _GAIN, _POWER, _POWER, _SHARE, _SHARE))
     rows[:, 4:] *= rows[:, 2:4]
     a, b, pb1, pb2, p1, p2 = rows.T
-    with np.errstate(all="ignore"):
-        replay = _rate_and_bound(a, b, p1, p2, pb1, pb2)[3]
+    replay = _rate_and_bound(a, b, p1, p2, pb1, pb2)[3]
     result = CheckResult("soundness", n_samples)
     for a, b, pb1, pb2, p1, p2 in rows[replay].tolist():
         gains = ChannelGains(a, b)
@@ -217,13 +214,10 @@ def interferer_off_check(n_points: int, seed: int) -> CheckResult:
     The rate comes from the sweep's rate kernel, and a row it flags is
     replayed through `achievable_rate`; the baseline is `wiretap_capacity`.
     """
-    import numpy as np
-
     from ._columns import _rate_columns
 
     rows = _uniform_rows(_rng(seed), n_points, ((0.0, 5.0), (0.0, 8.0), (0.0, 10.0)))
-    with np.errstate(all="ignore"):
-        rates, _, replay = _rate_columns(*rows.T, 0.0)
+    rates, _, replay = _rate_columns(*rows.T, 0.0)
     result = CheckResult("interferer-off", n_points)
     for (a, b, p1), rate, again in zip(rows.tolist(), rates.tolist(), replay.tolist()):
         if again:

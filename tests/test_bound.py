@@ -262,6 +262,23 @@ def test_nan_discriminant_is_the_overflow_domain_error(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_cancelling_numerator_is_a_domain_error(capsys):
+    # A*B and (rho + s)^2 agree in every kept bit, so f's numerator cancels
+    # to <= 0 in floats: a domain error that names it, not an internal bug.
+    from coopjam.cli import main
+
+    with pytest.raises(DomainError, match=r"^A\*B - \(rho \+ s\)\^2 in the bound is -1\.37"):
+        sato_upper_bound(ChannelGains(1.22e37, 6.22e-61), PowerBudget(5.57e67, 9.63e-183))
+    argv = ["bound", "--a", "1.22e37", "--b", "6.22e-61", "--pbar1", "5.57e67"]
+    assert main(argv + ["--pbar2", "9.63e-183"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: A*B - (rho + s)^2 in the bound is -1.37" in captured.err
+    # s overflows, so the numerator is inf - inf = NaN: the same error.
+    with pytest.raises(DomainError, match=r"^A\*B - \(rho \+ s\)\^2 in the bound is nan"):
+        sato_f(ChannelGains(1e300, 0.0), PowerAllocation(1e300, 0.0), 0.5)
+
+
 def test_zero_budget_makes_the_cross_term_zero_not_nan(capsys):
     # a*b overflows, so (sqrt(ab) - 1)^2 is inf; times p2 = 0 the cross
     # term is 0, not inf * 0 = NaN, so the discriminant stays finite.

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -10,19 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coopjam
+from coopjam._columns import _COLUMNS
 from coopjam._columns import _square as _column_square
-from coopjam.bound import NoiseCorrelation, sato_f
+from coopjam.bound import NoiseCorrelation, _f_defined, sato_f
 from coopjam.model import (
     ChannelGains,
     DomainError,
     PowerAllocation,
     PowerBudget,
     RateValue,
+    _clip,
+    _first,
+    _in_budget,
     _square,
     _valid_rate,
     gauss_cap,
     pos_part,
 )
+from coopjam.power import _p2_star_exists
 
 
 def test_gauss_cap_known_points():
@@ -221,3 +227,34 @@ def test_only_ops_defaults_to_a_callable():
                 if p.default is not p.empty and callable(p.default) and p.name != "ops":
                     found.append(f"{module}.{name}({p.name})")
     assert found == []
+
+
+def test_shared_owners_answer_floats_and_arrays_alike():
+    # Each rule that the column kernels share with the scalar code has one
+    # owner; a Python float and a one-element array get the same answer.
+    edges = [-0.0, 0.0, 2.0, math.nextafter(2.0, math.inf), math.nan, math.inf, -math.inf]
+
+    def alike(owner, *args):
+        scalar = owner(*args)
+        array = owner(*(np.array([v]) for v in args))
+        assert np.array([scalar]).tobytes() == array.tobytes(), (owner, args)
+        return scalar
+
+    for v in edges:
+        assert alike(_p2_star_exists, v) is (v >= 0.0)
+        assert alike(_f_defined, v) is (v > 0.0)
+        clipped = _clip(v)
+        assert _clip(np.array([v]), _COLUMNS).tobytes() == np.array([clipped]).tobytes()
+        assert repr(clipped) == repr(pos_part(v))
+        assert clipped == (v if v > 0.0 else 0.0) and math.copysign(1.0, clipped) == 1.0
+    budget = PowerBudget(2.0, 2.0)
+    for p1, p2 in itertools.product(edges, repeat=2):
+        try:
+            within = PowerAllocation(p1, p2).within(budget)
+        except DomainError:
+            within = False
+        assert alike(_in_budget, p1, p2, 2.0, 2.0) is within, (p1, p2)
+    for tests in itertools.product((False, True), repeat=3):
+        first = tests.index(True) if True in tests else 3
+        assert _first(tests) == first
+        assert _first([np.array([t]) for t in tests], _COLUMNS).tolist() == [first]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from coopjam._columns import column_blocks
+import coopjam.sweep as sweep
 from coopjam.achievable import BranchLabel, Regime, achievable_rate
 from coopjam.bound import sato_upper_bound
 from coopjam.model import (
@@ -226,6 +226,39 @@ def test_columns_read_only_their_own_numeric_constants():
     assert numeric <= own
 
 
+def test_columns_are_a_leaf_that_restates_no_scalar_rule():
+    # `_columns` calls the owners of the scalar rules; a comparison with a
+    # number would restate one, except log2's domain and p2_star at b == 0,
+    # where Python's 1.0 / b raises and NumPy's gives inf.
+    import ast
+    import inspect
+
+    from coopjam import _columns
+
+    tree = ast.parse(inspect.getsource(_columns))
+    imported = set()  # dotted names, a relative import's under "coopjam."
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "coopjam." * (node.level > 0) + (node.module or "")
+            imported |= {base if node.module else base + a.name for a in node.names}
+    package = {name.split(".")[1] for name in imported if name.startswith("coopjam.")}
+    assert package <= {"achievable", "bound", "model", "power"}
+
+    def number(node):
+        node = node.operand if isinstance(node, ast.UnaryOp) else node
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+    compared = {
+        (getattr(top, "name", None), ast.unparse(node))
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Compare) and any(map(number, [node.left, *node.comparators]))
+    }
+    assert compared == {("_log2", "v > 0.0"), ("_allocation_columns", "b == 0.0")}
+
+
 def test_overflowing_square_in_a_sweep_is_a_domain_error():
     spec = SweepSpec("a", 0.0, 1e200, 400, PowerBudget(1e200, 1e200), 0.5)
     with pytest.raises(DomainError, match=r"\(rho \+ s\)\^2"):
@@ -237,6 +270,15 @@ def test_nan_discriminant_in_a_sweep_is_a_domain_error():
     spec = SweepSpec("a", 0.0, 1e250, 400, PowerBudget(1e300, 0.0), 1e-100)
     with pytest.raises(DomainError, match="inf/inf: s = inf and m = inf"):
         run_sweep(spec)
+
+
+def test_cancelling_bound_numerator_in_a_sweep_is_a_domain_error():
+    # Row 0 is sound; row 1 is the point of `coopjam bound --a 1.22e37
+    # --b 6.22e-61 --pbar1 5.57e67 --pbar2 9.63e-183`, replayed.
+    budget = PowerBudget(5.57e67, 9.63e-183)
+    assert len(run_sweep(SweepSpec("a", 9.4e36, 9.4e36, 1, budget, 6.22e-61))) == 1
+    with pytest.raises(DomainError, match=r"A\*B - \(rho \+ s\)\^2 in the bound .* a=1\.22e\+37"):
+        run_sweep(SweepSpec("a", 9.4e36, 1.22e37, 1, budget, 6.22e-61))
 
 
 def test_csv_renders_special_values_like_format_specs():
@@ -254,18 +296,19 @@ def test_csv_renders_special_values_like_format_specs():
     )
 
 
-# Crosses one block of columns (_columns._BLOCK_ROWS) and ends on a
-# replayed row (a = b = 1).
+# Crosses one block of columns (sweep._BLOCK_ROWS) and ends on a replayed
+# row (a = b = 1).
 _ACROSS_BLOCKS = SweepSpec("a", 0.0, 1.0, 5000, _B2, symmetric=True)
 
 
 def _replayed(spec):
-    """The indices of `spec`'s rows that the columns leave to the scalar path."""
-    out, start = [], 0
-    for x, *_, replay in column_blocks(spec):
-        out += [start + i for i in replay]
-        start += len(x)
-    return out
+    """The indices of the rows of `spec`, whose abscissae are distinct, that
+    `run_sweep` leaves to the scalar path, in the order it replays them."""
+    xs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "_scalar_row", lambda spec, x: xs.append(x) or _scalar_row(spec, x))
+        index = {row.x: k for k, row in enumerate(run_sweep(spec))}
+    return [index[x] for x in xs]
 
 
 def _golden_curves():
