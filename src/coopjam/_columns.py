@@ -1,9 +1,9 @@
 """NumPy columns of the scalar functions: the kernels behind `sweep.run_sweep`
 and `verify`'s soundness and interferer-off checks.
 
-It is the one module that imports NumPy at its top; `run_sweep` and
-those checks import it on their first call, so `import coopjam` and the
-scalar commands never load NumPy.  It imports only `achievable`,
+It is the one module that imports NumPy at its top; `run_sweep`'s column
+path and those checks import it on their first call, so `import coopjam`
+and the scalar paths never load NumPy.  It imports only `achievable`,
 `bound`, `model` and `power`.
 
 Each kernel takes gains, powers and budgets as columns (a sweep's block

@@ -22,8 +22,10 @@ one that fails with exit 1 or 2 leaves stdout empty, except `verify`,
 which prints every check's PASS/FAIL line before exiting 1 on a FAIL.
 
 `rate`, `bound` and `power` answer by the closed forms and never import
-NumPy.  `sweep`, `fig2/3/4`, `power --check-grid` and `verify` import
-it when they first build an array.
+NumPy.  `sweep`, `fig2/3/4` and `power --check-grid` run as scalar code
+while their work fits about one NumPy import (`model._scalar_pays`), as
+at their default sizes; beyond that they import NumPy when they first
+build an array, and `verify` always does.
 """
 
 from __future__ import annotations

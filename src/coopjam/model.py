@@ -1,15 +1,17 @@
 """Core domain types and scalar helpers shared by every other module.
 
 All types are immutable value objects validated at construction; all
-functions are pure.  Rates are expressed in bits per channel use with
-base-2 logarithms throughout.  Direct links and noise variances are
-normalized to one, so channels are described purely by the two cross
-power gains.
+functions are pure except `_scalar_pays`, which charges coopjam's one
+piece of mutable state, a per-process budget of scalar work.  Rates are
+expressed in bits per channel use with base-2 logarithms throughout.
+Direct links and noise variances are normalized to one, so channels are
+described purely by the two cross power gains.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -185,3 +187,28 @@ def _first(tests, ops=_FLOATS):
     for k in reversed(range(first)):
         first = ops.where(tests[k], k, first)
     return first
+
+
+# One NumPy import costs a process about as much as this many scalar
+# sweep rows: 100-160 ms against 15-30 us a row on a 2-CPU Xeon.
+_IMPORT_ROWS = 4096
+_scalar_rows_left = _IMPORT_ROWS
+
+
+def _scalar_pays(work: float) -> bool:
+    """Whether a call that can run as scalar code or on arrays runs scalar.
+
+    True, and `work` (in sweep rows) charged to this process's budget of
+    `_IMPORT_ROWS`, while NumPy is not loaded and the budget still covers
+    `work`; so the scalar paths never cost a process more than about one
+    import over loading NumPy at once.  A None entry in sys.modules, which
+    makes every `import numpy` raise, counts as not loaded.  The budget is
+    coopjam's one piece of mutable state: both paths give identical
+    answers, so a race between threads on it can change which path runs,
+    never an answer.
+    """
+    global _scalar_rows_left
+    if sys.modules.get("numpy") is not None or work > _scalar_rows_left:
+        return False
+    _scalar_rows_left -= work
+    return True

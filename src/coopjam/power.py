@@ -33,14 +33,20 @@ lattice is never held.  Division and addition round correctly, so each
 cell has the bits of the same expression evaluated on the whole lattice
 at once.
 
-NumPy is imported inside the lattice functions, on their first call, so
-the closed forms (`optimal_allocation`, `critical_powers`, the asymptotic
-rates) run without loading it.
+The lattice is walked row by row as floats (`_scalar_lattice`) while
+NumPy is not loaded and the cells fit the process's scalar budget
+(`model._scalar_pays`), as in `power --check-grid` at its default 300
+steps; otherwise it is evaluated as NumPy blocks (`_array_lattice`).
+Both take the same candidates and cell arguments and choose the same
+cell.  NumPy is imported only by the array lattice, so the closed forms
+(`optimal_allocation`, `critical_powers`, the asymptotic rates) never
+load it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator
@@ -56,6 +62,7 @@ from .model import (
     _first,
     _FLOATS,
     _require_finite,
+    _scalar_pays,
     pos_part,
 )
 
@@ -202,6 +209,17 @@ def optimal_allocation(gains: ChannelGains, budget: PowerBudget) -> AllocationRe
 # a block.  Arrays of that size (128 KiB) are reused from the heap;
 # larger ones are mapped and page-faulted in anew on every call.
 _GRID_BLOCK_CELLS = 1 << 14
+# A sweep row, the unit of `_scalar_pays`, costs about as much as this
+# many cells of the scalar lattice: 15-30 us against at most 0.25 us a
+# cell, where every cell is evaluated, on a 2-CPU Xeon.
+_CELLS_PER_ROW = 64
+
+
+def _row_term(decode, joint, ops=_FLOATS):
+    """The rate term of lattice rows with these (float or array) tests:
+    decode-first (0), joint (1), or treat-as-noise (3), whose cells take
+    the cancel-free term 2 where its test holds.  Reads `ops.where` only."""
+    return ops.where(decode, 0, ops.where(joint, 1, 3))
 
 
 def _argument_blocks(a: float, b: float, p1: np.ndarray, p2: np.ndarray) -> Iterator[tuple]:
@@ -242,7 +260,7 @@ def _argument_blocks(a: float, b: float, p1: np.ndarray, p2: np.ndarray) -> Iter
     cols, zero = slice(start, None), zero[start:]
     late_zero = zero.any()  # only where p2 does not ascend
     P2 = p2[None, cols]
-    row_term = np.where(decode, 0, np.where(joint, 1, 3))
+    row_term = _row_term(decode, joint, _FLOATS._replace(where=np.where))
     runs = [0, *(np.flatnonzero(row_term[1:] != row_term[:-1]) + 1).tolist(), len(p1)]
     height = max(1, _GRID_BLOCK_CELLS // P2.size)
     buffer = np.empty(min(height, len(p1)) * P2.size)
@@ -279,36 +297,33 @@ def _check_grid_steps(n_steps: int) -> None:
         raise DomainError(f"n_steps must be an integer >= 2, got {n_steps!r}")
 
 
-def grid_search_allocation(
-    gains: ChannelGains, budget: PowerBudget, n_steps: int
-) -> AllocationResult:
-    """Brute-force maximization over a lattice spanning the budget box.
+def _critical_candidates(gains: ChannelGains, budget: PowerBudget) -> tuple[list, list]:
+    """The critical powers the lattice adds to its p1 and p2 candidates.
 
-    Searches an (n_steps+1)^2 lattice augmented with the closed-form
-    critical powers (clamped to the budget, when finite and nonnegative)
-    for the largest log argument of the rate (see `_argument_blocks`);
-    log2 is monotone, so no logarithm is taken until the chosen cell is
-    evaluated by `achievable_rate`.  Deterministic: ties are broken toward
-    the smallest p1, then the smallest p2.  Where no argument exceeds 1,
-    every rate is 0 and the cell (0, 0) is chosen.  A cell whose argument
-    is not finite (an SNR overflowed) is never chosen.
+    min(b - 1, pb1) where b >= 1, and min(p2_star, pb2) where p2_star is
+    finite and exists; two lists of at most one power each.
     """
-    import numpy as np
-
-    _check_grid_steps(n_steps)
     a, b = gains.a, gains.b
-    pb1, pb2 = budget.p1_max, budget.p2_max
-
-    cand1 = np.linspace(0.0, pb1, n_steps + 1)
-    cand2 = np.linspace(0.0, pb2, n_steps + 1)
+    extra1, extra2 = [], []
     if b - 1.0 >= 0.0:
-        cand1 = np.append(cand1, min(b - 1.0, pb1))
+        extra1.append(min(b - 1.0, budget.p1_max))
     if a * b < 1.0:
         p2_star = critical_powers(gains, budget).p2_star
         if math.isfinite(p2_star) and _p2_star_exists(p2_star):
-            cand2 = np.append(cand2, min(p2_star, pb2))
-    cand1 = np.unique(cand1)
-    cand2 = np.unique(cand2)
+            extra2.append(min(p2_star, budget.p2_max))
+    return extra1, extra2
+
+
+def _array_lattice(gains: ChannelGains, budget: PowerBudget, n_steps: int) -> tuple:
+    """(p1, p2) of `grid_search_allocation`, by blocks of NumPy arrays."""
+    import numpy as np
+
+    a, b = gains.a, gains.b
+    extra1, extra2 = _critical_candidates(gains, budget)
+    # Of 0.0 and -0.0 (a -0.0 budget), np.unique keeps the one its sort
+    # puts first, which varies with the length and the CPU; + 0.0 keeps 0.0.
+    cand1 = np.unique(np.append(np.linspace(0.0, budget.p1_max, n_steps + 1), extra1)) + 0.0
+    cand2 = np.unique(np.append(np.linspace(0.0, budget.p2_max, n_steps + 1), extra2)) + 0.0
 
     best, i, j = 1.0, 0, 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -325,7 +340,78 @@ def grid_search_allocation(
             if block.flat[k] > best:
                 best = block.flat[k]
                 i, j = rows.start + k // block.shape[1], cols.start + k % block.shape[1]
-    alloc = PowerAllocation(float(cand1[i]), float(cand2[j]))
+    return float(cand1[i]), float(cand2[j])
+
+
+def _linspace(stop: float, n: int) -> list:
+    """np.linspace(0.0, stop, n + 1) as a list, bit for bit.
+
+    NumPy takes k * step, or (k / n) * stop where the step stop / n is 0,
+    adds the start 0.0, which turns -0.0 into 0.0, and ends on stop.
+    """
+    step = stop / n
+    if step == 0.0:
+        points = [k / n * stop + 0.0 for k in range(n)]
+    else:
+        points = [k * step + 0.0 for k in range(n)]
+    points.append(stop)
+    return points
+
+
+def _scalar_lattice(gains: ChannelGains, budget: PowerBudget, n_steps: int) -> tuple:
+    """(p1, p2) of `grid_search_allocation`, walked row by row as floats.
+
+    The candidates are those of `_array_lattice`: ascending, each value
+    once, and 0.0 (the first point) kept over -0.0.  Each cell's
+    argument is the one `_argument_blocks` gives it, and the first
+    largest finite one above 1 wins.  ZERO columns are skipped, and so
+    are a regime-II noise row's cancel-free cells after its first: each
+    rounded operation of beta2 is monotone in p2, so b >= beta2 holds
+    from one p2 on, and the cancel-free term does not read p2, so those
+    cells all have the first one's argument.
+    """
+    a, b = gains.a, gains.b
+    extra1, extra2 = _critical_candidates(gains, budget)
+    cand1 = sorted(dict.fromkeys(_linspace(budget.p1_max, n_steps) + extra1))
+    cand2 = sorted(dict.fromkeys(_linspace(budget.p2_max, n_steps) + extra2))
+    cols = [p2 for p2 in cand2 if not _conditions(a, b, 0.0, p2)[0]]
+
+    best, cell = 1.0, (cand1[0], cand2[0])
+    for p1 in cand1:
+        _, decode, joint, _ = _conditions(a, b, p1, 0.0)
+        row = _row_term(decode, joint)
+        mid = len(cols)  # the first cancel-free column
+        if row == 3 and a < 1.0:
+            mid = bisect_left(cols, True, key=lambda p2: _conditions(a, b, p1, p2)[3])
+        for j, p2 in enumerate(cols[: mid + 1]):
+            x, y = _term_snrs(row if j < mid else 2, a, b, p1, p2)
+            argument = (1.0 + x) / (1.0 + y)
+            if best < argument < math.inf:
+                best, cell = argument, (p1, p2)
+    return cell
+
+
+def grid_search_allocation(
+    gains: ChannelGains, budget: PowerBudget, n_steps: int
+) -> AllocationResult:
+    """Brute-force maximization over a lattice spanning the budget box.
+
+    Searches an (n_steps+1)^2 lattice augmented with the closed-form
+    critical powers (clamped to the budget, when finite and nonnegative)
+    for the largest log argument of the rate (see `_argument_blocks`);
+    log2 is monotone, so no logarithm is taken until the chosen cell is
+    evaluated by `achievable_rate`.  Deterministic: ties are broken toward
+    the smallest p1, then the smallest p2.  Where no argument exceeds 1,
+    every rate is 0 and the cell (0, 0) is chosen.  A cell whose argument
+    is not finite (an SNR overflowed) is never chosen.
+
+    The lattice is walked as floats while that pays (`_scalar_pays`),
+    else as NumPy arrays; both choose the same cell.
+    """
+    _check_grid_steps(n_steps)
+    side = n_steps + 1
+    lattice = _scalar_lattice if _scalar_pays(side * side / _CELLS_PER_ROW) else _array_lattice
+    alloc = PowerAllocation(*lattice(gains, budget, n_steps))
     rate, branch = achievable_rate(gains, alloc)
     return AllocationResult(alloc, rate, AllocationSource.GRID_ORACLE, branch)
 

@@ -6,12 +6,15 @@ allocation, the achievable rate, and the capacity upper bound.  Every
 emitted row is checked against the soundness invariant
 achievable <= upper_bound + 1e-9.
 
-`run_sweep` evaluates a curve as NumPy columns over the abscissa, 4,096
-rows at a time, with the kernels of the private module `_columns`: the
-allocation, the rate and its branch, and the full-budget bound, each
-bit-identical to `optimal_allocation`, `achievable_rate` and
-`sato_upper_bound` at that abscissa.  It imports `_columns`, and with it
-NumPy, on its first call; this module does not import NumPy.
+`run_sweep` evaluates a curve row by row through `optimal_allocation`,
+`achievable_rate` and `sato_upper_bound` while NumPy is not loaded and
+the rows fit the process's scalar budget (`model._scalar_pays`): a
+one-shot command's sweep then costs less than importing NumPy.
+Otherwise it evaluates the curve as NumPy columns over the abscissa,
+4,096 rows at a time, with the kernels of the private module `_columns`:
+the allocation, the rate and its branch, and the full-budget bound, each
+bit-identical to those functions at that abscissa.  Only the column path
+imports `_columns`, and with it NumPy; this module does not.
 
 A row replays the scalar path instead when the columns cannot vouch for
 it: when its bound takes the cancelled form (rho* >= 1 - 1e-9), when a
@@ -47,6 +50,7 @@ from .model import (
     PowerBudget,
     RateValue,
     _require_finite,
+    _scalar_pays,
 )
 from .power import optimal_allocation
 
@@ -199,6 +203,11 @@ class SweepTable(Sequence):
         return NotImplemented
 
 
+def _abscissa(spec: SweepSpec, k):
+    """start + (end - start) * (k / steps): row k's abscissa, for an int or an np.arange."""
+    return spec.start + (spec.end - spec.start) * (k / spec.steps)
+
+
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate `spec`, returning steps+1 rows in ascending abscissa.
 
@@ -207,14 +216,24 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     A degenerate range (start == end) collapses to the single row the
     single-point commands would produce.
     """
+    rows = 1 if spec.start == spec.end else spec.steps + 1
+    sweep = _scalar_sweep if _scalar_pays(rows) else _column_sweep
+    return sweep(spec, rows)
+
+
+def _scalar_sweep(spec: SweepSpec, rows: int) -> SweepTable:
+    """The `rows` rows of `spec` (1 for a degenerate range) by `_scalar_row`."""
+    xs = [spec.start] if rows == 1 else [_abscissa(spec, k) for k in range(rows)]
+    return SweepTable(_columns_of([_scalar_row(spec, x) for x in xs]))
+
+
+def _column_sweep(spec: SweepSpec, rows: int) -> SweepTable:
+    """The `rows` rows of `spec` as NumPy columns, `_BLOCK_ROWS` rows at a time."""
     import numpy as np
 
     from ._columns import _allocation_columns, _rate_and_bound
 
-    if spec.start == spec.end:
-        xs = np.array([spec.start])
-    else:
-        xs = spec.start + (spec.end - spec.start) * (np.arange(spec.steps + 1) / spec.steps)
+    xs = np.array([spec.start]) if rows == 1 else _abscissa(spec, np.arange(rows))
     pb1, pb2 = spec.budget.p1_max, spec.budget.p2_max
     labels = np.array(_LABELS, dtype=object)
     columns: tuple = ([], [], [], [], [], [])

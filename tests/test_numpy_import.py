@@ -1,7 +1,10 @@
 """NumPy is imported only by the commands that build arrays.
 
-Each case runs in a fresh interpreter, since this test process has
-loaded NumPy long before.
+A sweep or a lattice runs as scalar code while NumPy is not loaded and
+the process's scalar work stays within about one NumPy import
+(`model._scalar_pays`); beyond that it builds arrays.  Each case runs in
+a fresh interpreter, since this test process has loaded NumPy long
+before, so its own outputs come from the array paths.
 """
 
 import os
@@ -9,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy  # noqa: F401  (so the in-process outputs come from the array paths)
 import pytest
 
 import coopjam
@@ -16,21 +20,33 @@ from coopjam.cli import main
 
 _SRC = str(Path(coopjam.__file__).resolve().parent.parent)
 
-# Answered by the closed forms alone, up to the degraded line a*b = 1.
+# Answered by the closed forms alone, up to the degraded line a*b = 1,
+# or by sweeps and lattices within the scalar budget of 4,096 sweep rows.
 SCALAR_COMMANDS = {
     "rate": ["rate", "--a", "0.5", "--b", "0.5", "--p1", "2", "--p2", "0.6666666666666666"],
     "bound": ["bound", "--a", "0.5", "--b", "1.5", "--pbar1", "2", "--pbar2", "2"],
     "power-II": ["power", "--a", "0.5", "--b", "0.5", "--pbar1", "2", "--pbar2", "2"],
     "power-I": ["power", "--a", "2", "--b", "1.5", "--pbar1", "2", "--pbar2", "2"],
     "power-near-line": ["power", "--a", "1", "--b", "0.9999999999", "--pbar1", "2", "--pbar2", "2"],
+    # 401 and 2 x 401 rows, and a lattice of 301^2 cells, 1/64 row each.
+    "fig2": ["fig2"],
+    "fig3": ["fig3"],
+    "fig4": ["fig4"],
+    "sweep": ["sweep", "--from", "0", "--to", "4", "--symmetric", "--pbar1", "2", "--pbar2", "2"],
+    "check-grid": ["power", "--a", "0.5", "--b", "0.5", "--pbar1", "2", "--pbar2", "2", "--check-grid"],
 }
 
-# Each builds an array: a sweep, the lattice oracle, verify's generators.
+# Each builds an array: a sweep or a lattice over the scalar budget,
+# verify's generators.
 NUMPY_COMMANDS = {
-    "fig2": ["fig2", "--steps", "8"],
+    "fig2": ["fig2", "--steps", "5000"],
+    "sweep": [
+        "sweep", "--from", "0", "--to", "4", "--symmetric", "--pbar1", "2", "--pbar2", "2",
+        "--steps", "5000",
+    ],
     "check-grid": [
         "power", "--a", "2", "--b", "1.5", "--pbar1", "2", "--pbar2", "2",
-        "--check-grid", "--grid-steps", "4",
+        "--check-grid", "--grid-steps", "1000",
     ],
     "verify": ["verify", "--samples", "10"],
 }
@@ -92,3 +108,43 @@ def test_array_command_loads_numpy_when_run(name):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.endswith("numpy loaded: False -> True\n")
+
+
+def test_numpy_loads_at_the_sweep_that_would_overrun_the_scalar_budget():
+    # 10 sweeps of 401 rows fit in 4,096 rows; the 11th would not.
+    proc = _child(
+        "import sys\n"
+        "import coopjam\n"
+        "spec = coopjam.SweepSpec('a', 0.0, 4.0, 400, coopjam.PowerBudget(2.0, 2.0), symmetric=True)\n"
+        "loaded = []\n"
+        "for _ in range(13):\n"
+        "    coopjam.run_sweep(spec)\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(loaded.index(True) + 1, all(loaded[loaded.index(True):]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "11 True\n"
+
+
+def test_threads_racing_on_the_scalar_budget_get_the_same_tables():
+    # A race on the budget may change which path a sweep takes, never its
+    # rows: 8 threads of 3 sweeps overrun 4,096 rows, so both paths run.
+    proc = _child(
+        "import sys, threading\n"
+        "import coopjam\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "spec = coopjam.SweepSpec('b', 0.0, 4.0, 400, coopjam.PowerBudget(2.0, 2.0), 0.6)\n"
+        "texts = []\n"
+        "def work():\n"
+        "    for _ in range(3):\n"
+        "        texts.append(coopjam.render_csv(coopjam.run_sweep(spec)))\n"
+        "threads = [threading.Thread(target=work) for _ in range(8)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(60)\n"
+        "alive = any(t.is_alive() for t in threads)\n"
+        "print(len(texts), len(set(texts)), 'numpy' in sys.modules, alive)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "24 1 True False\n"

@@ -488,6 +488,11 @@ def _whole_lattice_rate_cell(gains, budget, n_steps):
     return float(cand1[i]), float(cand2[j])
 
 
+# `grid_search_allocation` takes one of these while NumPy is not loaded and
+# the scalar budget lasts, the other otherwise; the tests call each.
+_LATTICES = {"array": power._array_lattice, "scalar": power._scalar_lattice}
+
+
 @pytest.mark.parametrize(
     "gains, budget",
     [
@@ -501,8 +506,11 @@ def _whole_lattice_rate_cell(gains, budget, n_steps):
 )
 def test_grid_picks_the_whole_lattice_rate_argmax_cell(gains, budget):
     gains, budget = ChannelGains(*gains), PowerBudget(*budget)
+    want = _whole_lattice_rate_cell(gains, budget, 300)
+    for name, lattice in _LATTICES.items():
+        assert repr(lattice(gains, budget, 300)) == repr(want), name
     grid = grid_search_allocation(gains, budget, 300)
-    assert (grid.alloc.p1, grid.alloc.p2) == _whole_lattice_rate_cell(gains, budget, 300)
+    assert (grid.alloc.p1, grid.alloc.p2) == want
 
 
 def test_grid_picks_the_whole_lattice_rate_argmax_cell_in_the_verify_box():
@@ -510,8 +518,31 @@ def test_grid_picks_the_whole_lattice_rate_argmax_cell_in_the_verify_box():
     for _ in range(200):
         gains = ChannelGains(*rng.uniform(0.05, 5.0, size=2).tolist())
         budget = PowerBudget(*rng.uniform(0.1, 10.0, size=2).tolist())
-        grid = grid_search_allocation(gains, budget, 300)
-        assert (grid.alloc.p1, grid.alloc.p2) == _whole_lattice_rate_cell(gains, budget, 300)
+        want = _whole_lattice_rate_cell(gains, budget, 300)
+        for name, lattice in _LATTICES.items():
+            assert repr(lattice(gains, budget, 300)) == repr(want), (name, gains, budget)
+
+
+def test_scalar_linspace_has_the_bits_of_numpys():
+    # Denormal steps take NumPy's (k / n) * stop; a -0.0 stop ends the points.
+    # At the largest float, NumPy's n * step overflows before it is replaced by stop.
+    for stop in (-0.0, 0.0, 5e-324, 1e-320, 1e-310, 0.1, 2.0, 1e300, 1.7976931348623157e308):
+        for n in (1, 2, 7, 300):
+            with np.errstate(over="ignore"):
+                want = np.linspace(0.0, stop, n + 1).tolist()
+            assert repr(power._linspace(stop, n)) == repr(want), (stop, n)
+
+
+@pytest.mark.parametrize("n_steps", [8, 9, 60, 300])
+def test_both_lattices_keep_0_over_a_minus_0_budget(n_steps):
+    # np.unique keeps whichever of 0.0 and -0.0 NumPy's sort puts first,
+    # which varies with the length; a plain linspace ends on -0.0.  Either
+    # would print `p1 = -0` under `power --check-grid`.
+    gains = ChannelGains(0.5, 1.5)
+    for budget in (PowerBudget(-0.0, 2.0), PowerBudget(2.0, -0.0)):
+        cells = {name: repr(lattice(gains, budget, n_steps)) for name, lattice in _LATTICES.items()}
+        assert "-0.0" not in cells["scalar"]
+        assert cells["array"] == cells["scalar"], budget
 
 
 def test_grid_steps_below_two_exit_2_before_any_output(capsys):
@@ -534,6 +565,8 @@ def test_grid_steps_below_two_exit_2_before_any_output(capsys):
 )
 def test_grid_never_chooses_a_non_finite_cell(a, b, pbar, expected):
     gains, budget = ChannelGains(a, b), PowerBudget(pbar, pbar)
+    for name, lattice in _LATTICES.items():
+        assert repr(lattice(gains, budget, 300)) == repr(expected[:2]), name
     grid = grid_search_allocation(gains, budget, 300)
     assert (grid.alloc.p1, grid.alloc.p2, grid.rate.value) == expected
     assert grid.rate == optimal_allocation(gains, budget).rate

@@ -199,6 +199,42 @@ _EQUIVALENCE_CURVES = [
 ]
 
 
+def _on_both_paths(spec):
+    """The table of `spec` by the column and by the scalar path of `run_sweep`.
+
+    The two must give the same rows, by repr, and the same CSV bytes, or
+    raise the same exception type with the same message, which is raised.
+    """
+    rows = 1 if spec.start == spec.end else spec.steps + 1
+    outcomes = []
+    for path in (sweep._column_sweep, sweep._scalar_sweep):
+        try:
+            outcomes.append(path(spec, rows))
+        except Exception as exc:
+            outcomes.append(exc)
+    column, scalar = outcomes
+    if isinstance(column, Exception) or isinstance(scalar, Exception):
+        assert (type(column), str(column)) == (type(scalar), str(scalar)), spec
+        raise column
+    assert repr(column._columns) == repr(scalar._columns), spec
+    assert render_csv(column) == render_csv(scalar), spec
+    return column
+
+
+_FIG_PRESETS = [
+    SweepSpec("a", 0.0, 4.0, 400, _B2, symmetric=True, power_mode=mode) for mode in PowerMode
+] + [
+    SweepSpec(param, 0.0, 4.0, 400, _B2, fixed, power_mode=mode)
+    for param, fixed in (("b", 0.6), ("b", 1.2), ("a", 0.2), ("a", 1.2))
+    for mode in PowerMode
+]
+
+
+def test_scalar_and_column_paths_give_the_same_table():
+    for spec in _EQUIVALENCE_CURVES + _FIG_PRESETS:
+        assert len(_on_both_paths(spec)) == (1 if spec.start == spec.end else spec.steps + 1)
+
+
 def test_rows_equal_the_scalar_path_row_by_row():
     near_line_jamming, rhos = 0, []
     for spec in _EQUIVALENCE_CURVES:
@@ -262,23 +298,23 @@ def test_columns_are_a_leaf_that_restates_no_scalar_rule():
 def test_overflowing_square_in_a_sweep_is_a_domain_error():
     spec = SweepSpec("a", 0.0, 1e200, 400, PowerBudget(1e200, 1e200), 0.5)
     with pytest.raises(DomainError, match=r"\(rho \+ s\)\^2"):
-        run_sweep(spec)
+        _on_both_paths(spec)
 
 
 def test_nan_discriminant_in_a_sweep_is_a_domain_error():
     # From the second row on, s and m overflow, so rho* is inf/inf = NaN.
     spec = SweepSpec("a", 0.0, 1e250, 400, PowerBudget(1e300, 0.0), 1e-100)
     with pytest.raises(DomainError, match="inf/inf: s = inf and m = inf"):
-        run_sweep(spec)
+        _on_both_paths(spec)
 
 
 def test_cancelling_bound_numerator_in_a_sweep_is_a_domain_error():
     # Row 0 is sound; row 1 is the point of `coopjam bound --a 1.22e37
     # --b 6.22e-61 --pbar1 5.57e67 --pbar2 9.63e-183`, replayed.
     budget = PowerBudget(5.57e67, 9.63e-183)
-    assert len(run_sweep(SweepSpec("a", 9.4e36, 9.4e36, 1, budget, 6.22e-61))) == 1
+    assert len(_on_both_paths(SweepSpec("a", 9.4e36, 9.4e36, 1, budget, 6.22e-61))) == 1
     with pytest.raises(DomainError, match=r"A\*B - \(rho \+ s\)\^2 in the bound .* a=1\.22e\+37"):
-        run_sweep(SweepSpec("a", 9.4e36, 1.22e37, 1, budget, 6.22e-61))
+        _on_both_paths(SweepSpec("a", 9.4e36, 1.22e37, 1, budget, 6.22e-61))
 
 
 def test_csv_renders_special_values_like_format_specs():
