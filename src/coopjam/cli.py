@@ -21,11 +21,12 @@ domain error.  A command computes its whole answer before it prints, so
 one that fails with exit 1 or 2 leaves stdout empty, except `verify`,
 which prints every check's PASS/FAIL line before exiting 1 on a FAIL.
 
-`rate`, `bound` and `power` answer by the closed forms and never import
-NumPy.  `sweep`, `fig2/3/4` and `power --check-grid` run as scalar code
-while their work fits about one NumPy import (`model._scalar_pays`), as
-at their default sizes; beyond that they import NumPy when they first
-build an array, and `verify` always does.
+Each handler imports what it calls, so a process loads only the modules
+its command runs.  `rate`, `bound` and `power` answer by the closed forms
+and never import NumPy.  `sweep`, `fig2/3/4` and `power --check-grid` run
+as scalar code while their work fits about one NumPy import
+(`model._scalar_pays`), as at their default sizes; beyond that they
+import NumPy when they first build an array, and `verify` always does.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .achievable import achievable_rate
-from .bound import sato_upper_bound
 from .model import (
+    _GRID_STEPS,
     ChannelGains,
     DomainError,
     InvariantViolation,
@@ -44,9 +44,6 @@ from .model import (
     PowerBudget,
     gauss_cap,
 )
-from .power import _GRID_STEPS, grid_search_allocation, optimal_allocation
-from .sweep import PowerMode, SweepSpec, render_csv, run_sweep
-from .verify import run_all
 
 __all__ = ["main"]
 
@@ -110,6 +107,8 @@ def _emit_csv(text: str, out: str | None) -> None:
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
+    from .achievable import achievable_rate
+
     _require(args, "a", "b", "p1", "p2")
     gains = ChannelGains(args.a, args.b)
     alloc = PowerAllocation(args.p1, args.p2)
@@ -121,6 +120,8 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
+    from .power import grid_search_allocation, optimal_allocation
+
     _require(args, "a", "b", "pbar1", "pbar2")
     gains = ChannelGains(args.a, args.b)
     budget = PowerBudget(args.pbar1, args.pbar2)
@@ -142,6 +143,8 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    from .bound import sato_upper_bound
+
     _require(args, "a", "b", "pbar1", "pbar2")
     gains = ChannelGains(args.a, args.b)
     budget = PowerBudget(args.pbar1, args.pbar2)
@@ -157,6 +160,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweep import PowerMode, SweepSpec, render_csv, run_sweep
+
     other = "b" if args.param == "a" else "a"
     fixed = getattr(args, other)
     if fixed is None and not args.symmetric:
@@ -177,6 +182,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig(args: argparse.Namespace) -> int:
+    from .sweep import PowerMode, SweepSpec, render_csv, run_sweep
+
     curves = _FIG_PRESETS[args.command][1]
     outputs = []
     for tag, param, fixed_gain, symmetric in curves:
@@ -203,6 +210,8 @@ def _cmd_fig(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_all
+
     results = run_all(args.samples, args.seed, args.grid_steps)
     print(f"seed = {args.seed}")
     failed = False

@@ -189,6 +189,9 @@ def _first(tests, ops=_FLOATS):
     return first
 
 
+# The default lattice resolution of `verify` and `power --check-grid`.
+_GRID_STEPS = 300
+
 # One NumPy import costs a process about as much as this many scalar
 # sweep rows: 100-160 ms against 15-30 us a row on a 2-CPU Xeon.
 _IMPORT_ROWS = 4096

@@ -82,8 +82,6 @@ __all__ = [
 
 # A p2_star radicand above -this is rounding noise around zero.
 _RADICAND_TOL = 1e-12
-# The default lattice resolution of `verify` and `power --check-grid`.
-_GRID_STEPS = 300
 
 
 class AllocationSource(Enum):

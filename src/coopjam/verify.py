@@ -29,9 +29,8 @@ from typing import TYPE_CHECKING
 
 from .achievable import Thresholds, achievable_rate, wiretap_capacity
 from .bound import _unsound, rho_min_oracle, rho_star, sato_f, sato_upper_bound
-from .model import ChannelGains, DomainError, PowerAllocation, PowerBudget
+from .model import _GRID_STEPS, ChannelGains, DomainError, PowerAllocation, PowerBudget
 from .power import (
-    _GRID_STEPS,
     _check_grid_steps,
     asymptotic_rate,
     grid_search_allocation,

@@ -165,7 +165,7 @@ def test_verify_reports_violations_and_exits_one(capsys, monkeypatch):
             CheckResult("power-oracle", 10, ["rate 0.5 > bound 0.4 somewhere"]),
         ]
 
-    monkeypatch.setattr("coopjam.cli.run_all", broken)
+    monkeypatch.setattr("coopjam.verify.run_all", broken)
     code = main(["verify", "--samples", "5", "--seed", "1"])
     captured = capsys.readouterr()
     assert code == 1
@@ -291,7 +291,9 @@ def test_failing_command_prints_nothing(monkeypatch, capsys, patched, argv):
     def fail(*args):
         raise InvariantViolation("injected")
 
-    monkeypatch.setattr(f"coopjam.cli.{patched}", fail)
+    # Each handler imports what it calls when it runs, from the owning module.
+    owner = {"grid_search_allocation": "power", "run_all": "verify"}[patched]
+    monkeypatch.setattr(f"coopjam.{owner}.{patched}", fail)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,4 +1,5 @@
-"""NumPy is imported only by the commands that build arrays.
+"""A command imports only the coopjam modules it runs, and NumPy only
+where it builds arrays.
 
 A sweep or a lattice runs as scalar code while NumPy is not loaded and
 the process's scalar work stays within about one NumPy import
@@ -52,6 +53,19 @@ NUMPY_COMMANDS = {
 }
 
 
+# The coopjam modules each command loads besides `coopjam`, `coopjam.cli`
+# and `coopjam.model`: a handler imports what it calls when it runs.
+COMMAND_MODULES = {
+    "rate": ["achievable"],
+    "bound": ["bound"],
+    "power-II": ["achievable", "power"],
+    "check-grid": ["achievable", "power"],
+    # No `verify`, and no `_columns` while the sweep runs as scalar code.
+    "fig2": ["achievable", "bound", "power", "sweep"],
+    "sweep": ["achievable", "bound", "power", "sweep"],
+}
+
+
 def _child(source):
     """Run `source` in a fresh interpreter that imports coopjam from this tree."""
     path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
@@ -74,6 +88,33 @@ def test_import_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\nFalse\n"
+
+
+# Child source that prints the loaded coopjam modules as a line of stderr.
+_PRINT_LOADED = (
+    "print(*sorted(m for m in sys.modules if m.startswith('coopjam')), file=sys.stderr)\n"
+)
+
+
+def test_bare_import_loads_no_submodule():
+    proc = _child("import sys\nimport coopjam\n" + _PRINT_LOADED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "coopjam\n"
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_MODULES))
+def test_command_loads_only_the_modules_it_runs(name):
+    proc = _child(
+        "import sys\n"
+        "import coopjam.cli\n"
+        f"code = coopjam.cli.main({SCALAR_COMMANDS[name]!r})\n"
+        + _PRINT_LOADED
+        + "sys.exit(code)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = ["coopjam", "coopjam.cli", "coopjam.model"]
+    expected += [f"coopjam.{module}" for module in COMMAND_MODULES[name]]
+    assert proc.stderr.splitlines()[-1].split() == sorted(expected)
 
 
 @pytest.mark.parametrize("name", sorted(SCALAR_COMMANDS))

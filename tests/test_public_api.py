@@ -53,3 +53,10 @@ def test_each_public_name_is_its_submodule_object():
     for name in PUBLIC:
         (module,) = owners[name]
         assert getattr(coopjam, name) is getattr(module, name), name
+
+
+def test_dir_and_star_import_give_exactly_the_public_names():
+    namespace = {}
+    exec("from coopjam import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == dir(coopjam) == PUBLIC
