@@ -13,9 +13,13 @@ Commands:
 Every command accepts `--config FILE` with one `key = value` per line.
 Keys are the command's long option names without `--`; each entry is
 parsed as the flag `--key=value` placed before the explicit flags, so
-argparse casts and checks it, an unknown key is a usage error, and an
-explicit flag wins.  The switches `check-grid` and `symmetric` take
-true/false, yes/no, on/off or 1/0.
+argparse casts and checks it, and an explicit flag wins.  A flag or key
+the command lacks is a usage error (exit 2) whatever its value, a switch
+of another command too.  The command's own switches (`check-grid` for
+`power`, `symmetric` for `sweep`) take true/false, yes/no, on/off or 1/0.
+Each option is declared once, in `_FLAGS`; `_COMMANDS` gives each
+command's options in help order and which of them it requires, and only
+the running command's parser gets its options.
 Exit codes: 0 success, 1 verification/invariant failure, 2 usage or
 domain error.  A command computes its whole answer before it prints, so
 one that fails with exit 1 or 2 leaves stdout empty, except `verify`,
@@ -61,9 +65,6 @@ _FIG_PRESETS = {
         [("b0.2", "a", 0.2, False), ("b1.2", "a", 1.2, False)],
     ),
 }
-_BOOLEAN_KEYS = ("check-grid", "symmetric")
-_DEFAULT_STEPS = 400
-_DEFAULT_SAMPLES = 2000
 
 
 def _parse_bool(key: str, text: str) -> bool:
@@ -92,10 +93,10 @@ def _read_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _require(args: argparse.Namespace, *dests: str) -> None:
-    for dest in dests:
-        if getattr(args, dest) is None:
-            raise DomainError(f"missing required option --{dest.rstrip('_')}")
+def _require(args: argparse.Namespace, flags: tuple[str, ...]) -> None:
+    for flag in flags:
+        if getattr(args, _FLAGS[flag].get("dest", flag)) is None:
+            raise DomainError(f"missing required option --{flag}")
 
 
 def _emit_csv(text: str, out: str | None) -> None:
@@ -109,7 +110,6 @@ def _emit_csv(text: str, out: str | None) -> None:
 def _cmd_rate(args: argparse.Namespace) -> int:
     from .achievable import achievable_rate
 
-    _require(args, "a", "b", "p1", "p2")
     gains = ChannelGains(args.a, args.b)
     alloc = PowerAllocation(args.p1, args.p2)
     rate, branch = achievable_rate(gains, alloc)
@@ -122,7 +122,6 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 def _cmd_power(args: argparse.Namespace) -> int:
     from .power import grid_search_allocation, optimal_allocation
 
-    _require(args, "a", "b", "pbar1", "pbar2")
     gains = ChannelGains(args.a, args.b)
     budget = PowerBudget(args.pbar1, args.pbar2)
     result = optimal_allocation(gains, budget)
@@ -145,7 +144,6 @@ def _cmd_power(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     from .bound import sato_upper_bound
 
-    _require(args, "a", "b", "pbar1", "pbar2")
     gains = ChannelGains(args.a, args.b)
     budget = PowerBudget(args.pbar1, args.pbar2)
     ev = sato_upper_bound(gains, budget)
@@ -166,7 +164,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     fixed = getattr(args, other)
     if fixed is None and not args.symmetric:
         raise DomainError(f"provide --{other} for the fixed gain, or --symmetric")
-    _require(args, "from_", "to", "pbar1", "pbar2")
     spec = SweepSpec(
         param=args.param,
         start=args.from_,
@@ -227,25 +224,54 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _add_config(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value file mirroring the flags")
+# Each long option once: its name without `--` and its add_argument keywords.
+_FLAGS = {
+    "param": dict(choices=("a", "b"), default="a", help="which gain to sweep"),
+    "from": dict(type=float, dest="from_", help="sweep start"),
+    "to": dict(type=float, help="sweep end"),
+    "steps": dict(type=int, default=400, help="number of intervals"),
+    "a": dict(type=float, help="transmitter-to-eavesdropper gain"),
+    "b": dict(type=float, help="interferer-to-receiver gain"),
+    "p1": dict(type=float, help="transmit power"),
+    "p2": dict(type=float, help="interferer power"),
+    "pbar1": dict(type=float, help="transmitter power budget"),
+    "pbar2": dict(type=float, help="interferer power budget"),
+    "check-grid": dict(
+        action="store_true", help="also run the lattice oracle and report agreement"
+    ),
+    "grid-steps": dict(type=int, default=_GRID_STEPS),
+    "symmetric": dict(action="store_true", help="force a = b along the sweep"),
+    "power-mode": dict(choices=("optimal", "full"), default="optimal"),
+    "out": dict(help="output CSV path (default: stdout); two curves get a suffix per tag"),
+    "samples": dict(type=int, default=2000),
+    "seed": dict(type=int, default=0),
+    "config": dict(help="key = value file mirroring the flags"),
+}
+_RATE_POINT = ("a", "b", "p1", "p2")
+_POINT = ("a", "b", "pbar1", "pbar2")
+# name: (help, handler, flags in help order before --config, required flags).
+_COMMANDS = {
+    "rate": ("achievable rate at explicit powers", _cmd_rate, _RATE_POINT, _RATE_POINT),
+    "power": (
+        "rate-maximizing allocation", _cmd_power, (*_POINT, "check-grid", "grid-steps"), _POINT
+    ),
+    "bound": ("capacity upper-bound breakdown", _cmd_bound, _POINT, _POINT),
+    "sweep": (
+        "CSV sweep along one gain",
+        _cmd_sweep,
+        ("param", "from", "to", "steps", *_POINT, "symmetric", "power-mode", "out"),
+        ("from", "to", "pbar1", "pbar2"),
+    ),
+    **{
+        name: (blurb, _cmd_fig, ("steps", "power-mode", "out"), ())
+        for name, (blurb, _) in _FIG_PRESETS.items()
+    },
+    "verify": ("run the invariant suite", _cmd_verify, ("samples", "seed", "grid-steps"), ()),
+}
 
 
-def _add_gain_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--a", type=float, help="transmitter-to-eavesdropper gain")
-    parser.add_argument("--b", type=float, help="interferer-to-receiver gain")
-
-
-def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pbar1", type=float, help="transmitter power budget")
-    parser.add_argument("--pbar2", type=float, help="interferer power budget")
-
-
-def _add_power_mode(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--power-mode", choices=("optimal", "full"), default="optimal")
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every subcommand, with arguments added only to `command`'s, the one that runs."""
     parser = argparse.ArgumentParser(
         prog="coopjam",
         description=(
@@ -254,91 +280,44 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_rate = sub.add_parser("rate", help="achievable rate at explicit powers")
-    _add_gain_flags(p_rate)
-    p_rate.add_argument("--p1", type=float, help="transmit power")
-    p_rate.add_argument("--p2", type=float, help="interferer power")
-    _add_config(p_rate)
-    p_rate.set_defaults(handler=_cmd_rate)
-
-    p_power = sub.add_parser("power", help="rate-maximizing allocation")
-    _add_gain_flags(p_power)
-    _add_budget_flags(p_power)
-    p_power.add_argument(
-        "--check-grid",
-        action="store_true",
-        help="also run the lattice oracle and report agreement",
-    )
-    p_power.add_argument("--grid-steps", type=int, default=_GRID_STEPS)
-    _add_config(p_power)
-    p_power.set_defaults(handler=_cmd_power)
-
-    p_bound = sub.add_parser("bound", help="capacity upper-bound breakdown")
-    _add_gain_flags(p_bound)
-    _add_budget_flags(p_bound)
-    _add_config(p_bound)
-    p_bound.set_defaults(handler=_cmd_bound)
-
-    p_sweep = sub.add_parser("sweep", help="CSV sweep along one gain")
-    p_sweep.add_argument(
-        "--param", choices=("a", "b"), default="a", help="which gain to sweep"
-    )
-    p_sweep.add_argument("--from", type=float, dest="from_", help="sweep start")
-    p_sweep.add_argument("--to", type=float, help="sweep end")
-    p_sweep.add_argument(
-        "--steps", type=int, default=_DEFAULT_STEPS, help="number of intervals"
-    )
-    _add_gain_flags(p_sweep)
-    _add_budget_flags(p_sweep)
-    p_sweep.add_argument(
-        "--symmetric", action="store_true", help="force a = b along the sweep"
-    )
-    _add_power_mode(p_sweep)
-    p_sweep.add_argument("--out", help="output CSV path (default: stdout)")
-    _add_config(p_sweep)
-    p_sweep.set_defaults(handler=_cmd_sweep)
-
-    for name, (blurb, _) in _FIG_PRESETS.items():
-        p_fig = sub.add_parser(name, help=blurb)
-        p_fig.add_argument("--steps", type=int, default=_DEFAULT_STEPS)
-        _add_power_mode(p_fig)
-        p_fig.add_argument("--out", help="output path; curves get a suffix per tag")
-        _add_config(p_fig)
-        p_fig.set_defaults(handler=_cmd_fig)
-
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
-    p_verify.add_argument("--samples", type=int, default=_DEFAULT_SAMPLES)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--grid-steps", type=int, default=_GRID_STEPS)
-    _add_config(p_verify)
-    p_verify.set_defaults(handler=_cmd_verify)
-
+    for name, (blurb, _, flags, _) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=blurb)
+        if name == command:
+            for flag in (*flags, "config"):
+                subparser.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
-def _config_flags(path: str) -> list[str]:
-    """The entries of a config file as flags; booleans become a bare flag or nothing."""
-    flags = []
+def _config_flags(path: str, flags: tuple[str, ...]) -> list[str]:
+    """A config file's entries as flags; a switch of `flags` becomes a bare flag or nothing.
+
+    Every other key goes to argparse as `--key=value`, which rejects a key
+    the command lacks, a switch of another command too.
+    """
+    switches = [flag for flag in flags if _FLAGS[flag].get("action") == "store_true"]
+    entries = []
     for key, value in _read_config(path).items():
-        if key not in _BOOLEAN_KEYS:
-            flags.append(f"--{key}={value}")
+        if key not in switches:
+            entries.append(f"--{key}={value}")
         elif _parse_bool(key, value):
-            flags.append(f"--{key}")
-    return flags
+            entries.append(f"--{key}")
+    return entries
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser takes no option but -h, so the first other word names the command.
+    parser = _build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     args = parser.parse_args(argv)
+    _, handler, flags, required = _COMMANDS[args.command]
     try:
         if args.config is not None:
             # Config entries go before the explicit flags, so the explicit
             # flags, parsed last, win.
             at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
-        return args.handler(args)
+            args = parser.parse_args(argv[:at] + _config_flags(args.config, flags) + argv[at:])
+        _require(args, required)
+        return handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import coopjam
-from coopjam.cli import main
+from coopjam.cli import _build_parser, main
 from coopjam.model import InvariantViolation
 
 
@@ -252,8 +253,18 @@ def _exit_code(argv):
         ("rate", "a = 4\nb = 0.5\np1 = 2\np2 = 2\nbogus = 3\n", "bogus"),
         ("power", _POWER_POINT + "grid_steps = 80\n", "grid_steps"),
         ("power", _POWER_POINT + "check-grid = maybe\n", "check-grid"),
+        # A key the command lacks is an error whatever its value, a switch
+        # of another command with a valid boolean too, reported as the flag.
+        *[
+            ("rate", f"a = 4\nb = 0.5\np1 = 2\np2 = 2\n{key} = {value}\n",
+             f"unrecognized arguments: --{key}={value}")
+            for key, value in [("check-grid", "no"), ("check-grid", "yes"), ("symmetric", "maybe")]
+        ],
     ],
-    ids=["bad-float", "unknown-key", "misspelt-key", "bad-bool"],
+    ids=[
+        "bad-float", "unknown-key", "misspelt-key", "bad-bool",
+        "other-switch-off", "other-switch-on", "other-switch-bad-bool",
+    ],
 )
 def test_config_file_bad_entry_exits_2(tmp_path, capsys, command, text, named):
     cfg = tmp_path / "bad.cfg"
@@ -261,6 +272,42 @@ def test_config_file_bad_entry_exits_2(tmp_path, capsys, command, text, named):
     assert _exit_code([command, "--config", str(cfg)]) == 2
     last_line = capsys.readouterr().err.strip().splitlines()[-1]
     assert re.search(rf"\b{named}\b", last_line)
+
+
+# Each command's options, in help order, as `coopjam <command> -h` listed them
+# when the parser was built by hand.
+OPTIONS = {
+    "rate": ["-h", "--a", "--b", "--p1", "--p2", "--config"],
+    "power": [
+        "-h", "--a", "--b", "--pbar1", "--pbar2", "--check-grid", "--grid-steps", "--config",
+    ],
+    "bound": ["-h", "--a", "--b", "--pbar1", "--pbar2", "--config"],
+    "sweep": [
+        "-h", "--param", "--from", "--to", "--steps", "--a", "--b", "--pbar1", "--pbar2",
+        "--symmetric", "--power-mode", "--out", "--config",
+    ],
+    "fig2": ["-h", "--steps", "--power-mode", "--out", "--config"],
+    "fig3": ["-h", "--steps", "--power-mode", "--out", "--config"],
+    "fig4": ["-h", "--steps", "--power-mode", "--out", "--config"],
+    "verify": ["-h", "--samples", "--seed", "--grid-steps", "--config"],
+}
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_help_lists_each_commands_options_in_order(command, capsys):
+    assert _exit_code([command, "-h"]) == 0
+    help_text = capsys.readouterr().out
+    assert re.findall(r"^  (--?[\w-]+)", help_text, re.M) == OPTIONS[command]
+
+
+def test_parser_adds_arguments_only_to_the_running_command():
+    parser = _build_parser("rate")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(OPTIONS)
+    for name, subparser in subparsers.choices.items():
+        strings = [s for action in subparser._actions for s in action.option_strings]
+        expected = ["-h", "--help", *OPTIONS[name][1:]] if name == "rate" else ["-h", "--help"]
+        assert strings == expected, name
 
 
 @pytest.mark.parametrize(
