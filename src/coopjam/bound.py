@@ -54,10 +54,6 @@ __all__ = [
 # evaluation to the cancelled quotient.
 _RHO_EDGE = 1e-9
 _RHO_CLAMP = 1.0 - 1e-12
-# Below this combined cross-amplitude the minimizer formula is 0/0 while
-# f itself is well defined (and minimized at rho = 0).
-_DEGENERATE_S = 1e-12
-
 # The golden-section oracle stops once its bracket is this narrow.
 _ORACLE_TOL = 1e-10
 # The rounding an achievable rate may exceed the bound by (sweep, verify).
@@ -162,9 +158,22 @@ def _star_terms(a, b, p1, p2, ops=_FLOATS):
 
 
 def _rho_root(s, m, delta, ops=_FLOATS):
-    """The minimizer 2s / (m + sqrt(delta)), >= 0 or NaN; 0 / 1 where s <= 1e-12."""
-    flat = s <= _DEGENERATE_S
+    """The minimizer 2s / (m + sqrt(delta)), >= 0 or NaN; 0 / 1 where s == 0.
+
+    Only s == 0 makes it 0/0, where f is flat in the powers and minimized
+    at rho = 0: for s > 0 some power is positive, so m >= p1 + p2 > 0.
+    """
+    flat = s == 0.0
     return ops.where(flat, 0.0, 2.0 * s) / ops.where(flat, 1.0, m + ops.sqrt(delta))
+
+
+def _f_numerator(rho, s, d_lo):
+    """A*B - (rho + s)^2 as (1 - rho)(1 + rho + 2s) + d_lo, every term >= 0.
+
+    It equals `_f_log_arg`'s numerator, since A*B - s^2 = 1 + m and
+    m - 2s = d_lo, but subtracts nothing; float or array inputs.
+    """
+    return (1.0 - rho) * (1.0 + rho + 2.0 * s) + d_lo
 
 
 def _direct(rho):

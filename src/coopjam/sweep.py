@@ -26,8 +26,12 @@ into the columns.
 
 `run_sweep` returns the columns themselves, as a `SweepTable`: an
 immutable sequence of rows that builds each `SweepRow` when it is read,
-so a sweep makes no row object that nobody reads.  `render_csv` formats
-straight from those columns.
+so a sweep makes no row object that nobody reads.  The scalar path's
+columns are lists of floats and `BranchLabel`s; the column path's stay
+the kernels' float64 arrays and integer branch codes, and a read row's
+floats and label are made from them then.  `render_csv` formats straight
+from the columns: lists by `'%.12g' %`, arrays by the vectorized `%.12g`
+of `_columns._csv_lines`, which writes the same bytes.
 
 CSV output is byte-deterministic: fixed header, 12 significant digits,
 '.' decimal separator, LF line endings, no locale dependence.
@@ -166,16 +170,18 @@ def _fields(row: SweepRow) -> tuple:
 class SweepTable(Sequence):
     """The rows of a sweep, held as columns: an immutable Sequence[SweepRow].
 
-    Reading a row builds a `SweepRow` equal to the one the scalar
-    functions give at its abscissa; a slice is a list of rows.  A table
-    equals another table, or a list, with equal rows, as a list of rows
-    does.
+    The scalar path holds six lists: x, rate, bound, p1 and p2 as floats,
+    and the `BranchLabel`s.  The column path holds five float64 arrays
+    and an array of branch codes, indices into `achievable._LABELS`; a
+    row's floats and label are made when it is read.  Reading a row
+    builds a `SweepRow` equal to the one the scalar functions give at
+    its abscissa; a slice is a list of rows.  A table equals another
+    table, or a list, with equal rows, as a list of rows does.
     """
 
     __slots__ = ("_columns",)
 
     def __init__(self, columns: tuple) -> None:
-        # x, rate, bound, p1, p2 and branch: six lists of equal length.
         object.__setattr__(self, "_columns", columns)
 
     def __setattr__(self, name, value):
@@ -184,20 +190,34 @@ class SweepTable(Sequence):
     def __delattr__(self, name):
         raise AttributeError("a SweepTable is immutable")
 
+    def _arrays(self) -> bool:
+        """Whether the columns are the column path's arrays."""
+        return not isinstance(self._columns[0], list)
+
+    def _lists(self) -> tuple:
+        """The six columns as lists: floats, then `BranchLabel`s."""
+        if not self._arrays():
+            return self._columns
+        *values, codes = self._columns
+        return (*(column.tolist() for column in values), [_LABELS[c] for c in codes.tolist()])
+
     def __len__(self) -> int:
         return len(self._columns[0])
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
-        return _row(*[column[i] for column in self._columns])
+        *values, branch = [column[i] for column in self._columns]
+        if self._arrays():
+            values, branch = map(float, values), _LABELS[branch]
+        return _row(*values, branch)
 
     def __iter__(self):
-        return map(_row, *self._columns)
+        return map(_row, *self._lists())
 
     def __eq__(self, other):
         if isinstance(other, SweepTable):
-            return self._columns == other._columns
+            return self._lists() == other._lists()
         if isinstance(other, list):
             return list(self) == other
         return NotImplemented
@@ -235,42 +255,53 @@ def _column_sweep(spec: SweepSpec, rows: int) -> SweepTable:
 
     xs = np.array([spec.start]) if rows == 1 else _abscissa(spec, np.arange(rows))
     pb1, pb2 = spec.budget.p1_max, spec.budget.p2_max
-    labels = np.array(_LABELS, dtype=object)
-    columns: tuple = ([], [], [], [], [], [])
-    for start in range(0, xs.size, _BLOCK_ROWS):
-        x = xs[start : start + _BLOCK_ROWS]
+    rate, bound, p1, p2 = (np.empty(rows) for _ in range(4))
+    code = np.empty(rows, np.intp)
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
         # The fixed gain becomes a 0-d array, so that every operation on it is
         # NumPy's and a division by zero in a discarded case cannot raise.
-        a, b = _gain_pair(spec, x, np.asarray(spec.fixed_gain))
+        a, b = _gain_pair(spec, xs[block], np.asarray(spec.fixed_gain))
         if spec.power_mode is PowerMode.OPTIMAL_CONTROL:
-            p1, p2, replay = _allocation_columns(a, b, pb1, pb2)
+            p1[block], p2[block], replay = _allocation_columns(a, b, pb1, pb2)
         else:
-            p1, p2, replay = pb1, pb2, False
-        rate, code, bound, bad = _rate_and_bound(a, b, p1, p2, pb1, pb2)
-        p1, p2 = np.broadcast_to(p1, x.size), np.broadcast_to(p2, x.size)
-        for column, values in zip(columns, (x, rate, bound, p1, p2, labels[code])):
-            column += values.tolist()
+            p1[block], p2[block], replay = pb1, pb2, False
+        rate[block], code[block], bound[block], bad = _rate_and_bound(
+            a, b, p1[block], p2[block], pb1, pb2
+        )
         # In ascending abscissa, so the first row that raises is the one the
         # row-by-row evaluation would raise at.
         for k in (start + i for i in np.flatnonzero(replay | bad).tolist()):
-            for column, value in zip(columns, _fields(_scalar_row(spec, columns[0][k]))):
-                column[k] = value
-    return SweepTable(columns)
+            row = _scalar_row(spec, xs[k].item())
+            rate[k], bound[k], p1[k], p2[k] = _fields(row)[1:5]
+            code[k] = _LABELS.index(row.branch)
+    return SweepTable((xs, rate, bound, p1, p2, code))
 
 
 def _columns_of(rows: Sequence[SweepRow]) -> tuple:
-    """The six columns of `rows`: a table's own, or a list's transposed."""
+    """The six lists of `rows`: a table's own, or a list's transposed."""
     if isinstance(rows, SweepTable):
-        return rows._columns
+        return rows._lists()
     return tuple(map(list, zip(*map(_fields, rows)))) or ([], [], [], [], [], [])
 
 
 def render_csv(rows: Sequence[SweepRow]) -> str:
     """Serialize rows to the fixed CSV schema (trailing newline included).
 
-    `rows` is a `SweepTable`, formatted straight from its columns, or
-    any other sequence of `SweepRow`s, transposed into columns first.
+    A `SweepTable` of the column path is formatted from its arrays by the
+    vectorized `%.12g` of `_columns._csv_lines`, `_BLOCK_ROWS` rows at a
+    time.  Any other table, or sequence of `SweepRow`s, is formatted by
+    `'%.12g' %` from its lists, transposed from the rows first; both give
+    the same text.
     """
+    if isinstance(rows, SweepTable) and rows._arrays():
+        from ._columns import _csv_lines
+
+        blocks = (
+            _csv_lines(*[column[start : start + _BLOCK_ROWS] for column in rows._columns])
+            for start in range(0, len(rows), _BLOCK_ROWS)
+        )
+        return "".join([CSV_HEADER, "\n", *blocks])
     x, rate, bound, p1, p2, branch = _columns_of(rows)
     # Rows share a few label objects; keyed by identity, since hashing a
     # BranchLabel costs more than formatting the rest of its row.

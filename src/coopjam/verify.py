@@ -23,12 +23,21 @@ other checks see their samples as Python floats.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .achievable import Thresholds, achievable_rate, wiretap_capacity
-from .bound import _unsound, rho_min_oracle, rho_star, sato_f, sato_upper_bound
+from .bound import (
+    _f_numerator,
+    _star_terms,
+    _unsound,
+    rho_min_oracle,
+    rho_star,
+    sato_f,
+    sato_upper_bound,
+)
 from .model import _GRID_STEPS, ChannelGains, DomainError, PowerAllocation, PowerBudget
 from .power import (
     _check_grid_steps,
@@ -175,8 +184,22 @@ def power_oracle_check(n_configs: int, seed: int, n_steps: int = _GRID_STEPS) ->
     return result
 
 
+def _f_slope(a: float, b: float, p1: float, p2: float, rho: float) -> float:
+    """df/drho at `rho`, from f's cancellation-free numerator.
+
+    f = (1/2) log2(N / ((1 - rho^2) B)) with N = A*B - (rho + s)^2, so
+    df/drho = [2 rho / ((1 - rho)(1 + rho)) - 2 (rho + s) / N] / (2 ln 2).
+    N is `bound._f_numerator`: it keeps its digits where rho* nears 1 and
+    N is small, where a difference quotient of f in floats does not.
+    """
+    s, _, d_lo, _, _ = _star_terms(a, b, p1, p2)
+    n = _f_numerator(rho, s, d_lo)
+    return (2.0 * rho / ((1.0 - rho) * (1.0 + rho)) - 2.0 * (rho + s) / n) / (2.0 * math.log(2.0))
+
+
 def rho_star_check(n_points: int, seed: int) -> CheckResult:
-    """Closed-form correlation minimizer matches the golden-section oracle."""
+    """Closed-form correlation minimizer matches the golden-section oracle,
+    and f's slope in rho vanishes there (`_f_slope`)."""
     import numpy as np
 
     def cross_amplitude(a, b, p1, p2):  # s of `bound`, away from its s = 0 case
@@ -185,7 +208,6 @@ def rho_star_check(n_points: int, seed: int) -> CheckResult:
     ranges = (_GAIN, _GAIN, (0.0, 10.0), (0.0, 10.0))
     rows = _kept_rows(_rng(seed), n_points, ranges, cross_amplitude)
     result = CheckResult("rho-star", n_points)
-    h = 1e-6
     for a, b, p1, p2 in rows.tolist():
         gains = ChannelGains(a, b)
         alloc = PowerAllocation(p1, p2)
@@ -197,9 +219,7 @@ def rho_star_check(n_points: int, seed: int) -> CheckResult:
             result.violations.append(
                 f"|f(rho*) - f(oracle)| = {abs(f_star - f_numeric)} at {gains}, {alloc}"
             )
-        slope = (
-            sato_f(gains, alloc, star.rho + h) - sato_f(gains, alloc, star.rho - h)
-        ) / (2.0 * h)
+        slope = _f_slope(a, b, p1, p2, star.rho)
         if abs(slope) > STATIONARITY_TOL:
             result.violations.append(
                 f"|df/drho| = {abs(slope)} at rho*={star.rho} for {gains}, {alloc}"

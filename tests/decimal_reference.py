@@ -81,3 +81,34 @@ def half_log2_inverse(*gains, digits=DIGITS):
     with localcontext() as ctx:
         ctx.prec = digits
         return -sum(x.ln() for x in _dec(*gains)) / (2 * Decimal(2).ln())
+
+
+def _sato_terms(a, b, p1, p2):
+    """A = 1 + p1 + b p2, B = 1 + a p1 + p2 and s = sqrt(a) p1 + sqrt(b) p2."""
+    return 1 + p1 + b * p2, 1 + a * p1 + p2, a.sqrt() * p1 + b.sqrt() * p2
+
+
+def sato_f(a, b, p1, p2, rho, digits=DIGITS):
+    """The bound's f = (1/2) log2((A B - (rho + s)^2) / ((1 - rho^2) B))."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        a, b, p1, p2, rho = _dec(a, b, p1, p2, rho)
+        big_a, big_b, s = _sato_terms(a, b, p1, p2)
+        ratio = (big_a * big_b - (rho + s) ** 2) / ((1 - rho * rho) * big_b)
+        return ratio.ln() / (2 * Decimal(2).ln())
+
+
+def rho_star(a, b, p1, p2, digits=DIGITS):
+    """f's minimizer over rho: the root in [0, 1] of s rho^2 - m rho + s,
+    where m = A B - s^2 - 1, as 2s / (m + sqrt(m^2 - 4 s^2)); 0 where s = 0.
+
+    m cancels the 1 of A B, so powers of 1e-j leave it about `digits` - j
+    digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        a, b, p1, p2 = _dec(a, b, p1, p2)
+        big_a, big_b, s = _sato_terms(a, b, p1, p2)
+        if s == 0:
+            return Decimal(0)
+        m = big_a * big_b - s * s - 1
+        return 2 * s / (m + (m * m - 4 * s * s).sqrt())

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import decimal_reference as ref
 from coopjam.bound import (
     NoiseCorrelation,
     _f_at_star_cancelled,
@@ -300,3 +301,27 @@ def test_infinite_m_with_finite_s_still_answers():
     )
     assert ev.rho_star.rho == 0.0
     assert ev.final_bound.value == gauss_cap(p1)
+
+
+# s = sqrt(a) p1 + sqrt(b) p2 is 3.99e-13 here, and rho* is far from 0.
+_TINY = (0.9, 1.1, 2e-13, 2e-13)
+
+
+def test_rho_star_at_a_tiny_cross_amplitude_is_the_minimizer():
+    a, b, p1, p2 = _TINY
+    ev = sato_upper_bound(ChannelGains(a, b), PowerBudget(p1, p2))
+    assert ev.rho_star.rho == pytest.approx(float(ref.rho_star(*_TINY)), abs=1e-12)
+    assert rho_star(ChannelGains(a, b), PowerAllocation(p1, p2)).rho == ev.rho_star.rho
+    truth = float(ref.sato_f(*_TINY, ref.rho_star(*_TINY)))
+    assert ev.f_at_star == pytest.approx(truth, rel=0.1)
+    assert ev.final_bound.value == ev.f_at_star
+
+
+def test_bound_is_nondecreasing_in_the_budget_across_tiny_cross_amplitudes():
+    # s = 1e-12 at p = 5.0e-13; f's float error is a few 1e-15 here, and
+    # each step of 1e-13 raises the bound by about 1.4e-14.
+    bounds = [
+        sato_upper_bound(ChannelGains(0.9, 1.1), PowerBudget(k * 1e-13, k * 1e-13)).final_bound.value
+        for k in range(1, 11)
+    ]
+    assert bounds == sorted(bounds)

@@ -2,11 +2,16 @@ import collections.abc
 import hashlib
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coopjam.sweep as sweep
-from coopjam.achievable import BranchLabel, Regime, achievable_rate
+from coopjam._columns import _csv_lines
+from coopjam.achievable import _LABELS, BranchLabel, Regime, achievable_rate
 from coopjam.bound import sato_upper_bound
 from coopjam.model import (
     ChannelGains,
@@ -21,6 +26,7 @@ from coopjam.sweep import (
     PowerMode,
     SweepRow,
     SweepSpec,
+    SweepTable,
     _scalar_row,
     render_csv,
     run_sweep,
@@ -216,7 +222,7 @@ def _on_both_paths(spec):
     if isinstance(column, Exception) or isinstance(scalar, Exception):
         assert (type(column), str(column)) == (type(scalar), str(scalar)), spec
         raise column
-    assert repr(column._columns) == repr(scalar._columns), spec
+    assert repr(column._lists()) == repr(scalar._lists()), spec
     assert render_csv(column) == render_csv(scalar), spec
     return column
 
@@ -409,3 +415,104 @@ def test_sweep_table_is_an_immutable_sequence_of_rows():
     assert replayed
     for k in replayed:
         assert table[k] == _scalar_row(_ACROSS_BLOCKS, table[k].x)
+
+
+# The vectorized %.12g of `_columns._csv_lines`, which renders the column
+# path's tables, against `'%.12g' %`.
+_CODES = [code for code, label in enumerate(_LABELS) if label is not None]
+
+
+def _lines_by_format(values, codes):
+    rows = zip(*values.tolist(), (str(_LABELS[code]) for code in codes.tolist()))
+    return "".join("%.12g,%.12g,%.12g,%.12g,%.12g,%s\n" % row for row in rows)
+
+
+def _assert_formats_like_format_spec(doubles):
+    values = np.array(doubles, dtype=float)
+    values = np.resize(values, (5, -(-values.size // 5)))  # repeats to fill 5 columns
+    codes = np.resize(np.array(_CODES), values.shape[1])
+    assert _csv_lines(*values, codes) == _lines_by_format(values, codes)
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_DOUBLES = st.one_of(
+    # Any bit pattern: subnormals, +-0, +-inf and NaNs included.
+    st.integers(0, 2**64 - 1).map(_double),
+    # Fixed style and its limits at 1e-4 and 1e12, either sign.
+    st.floats(1e-5, 1e13).flatmap(lambda x: st.sampled_from([x, -x])),
+    # Next to a tie at the 12th significant digit.
+    st.builds(lambda n, e: float(f"{n}5e{e}"), st.integers(10**11, 10**12 - 1), st.integers(-17, 1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_DOUBLES, min_size=1, max_size=60))
+def test_csv_lines_format_any_double_like_format_spec(doubles):
+    _assert_formats_like_format_spec(doubles)
+
+
+def test_csv_lines_format_edge_values_like_format_spec():
+    powers = [float(f"1e{j}") for j in range(-8, 16)]
+    edges = [
+        # Ties at the 12th digit, exact in binary or nearest to one.
+        123456789012.5, 999999999999.5, 0.1234567890125, 1.0000000000005, 2.0000000000015,
+        # Each side of fixed style's limits.
+        9.999999999995e-05, 9.9999999999949e-05, 0.0001, 99999999999.99, 999999999999.4,
+        999999999999.6, 1e12, 1e11, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        0.0, -0.0, math.inf, -math.inf, math.nan, 1 / 3, 2 / 3, 4.0, 0.1, 0.5,
+    ]
+    for x in powers:
+        edges += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    _assert_formats_like_format_spec(edges + [-x for x in edges])
+
+
+def test_array_table_renders_special_values_like_format_specs():
+    columns = [
+        [-0.0, 1e-300, 1e300],
+        [0.0, 1e300, 1 / 3],
+        [math.inf, math.inf, 123456789012345.0],
+        [1e-300, -0.0, 0.1],
+        [1e300, 2.5e-7, 1e16],
+    ]
+    codes = [_LABELS.index(BranchLabel(Regime.REGIME_II, 4)), 0, _LABELS.index(BranchLabel(Regime.REGIME_II, 4))]
+    table = SweepTable((*map(np.array, columns), np.array(codes)))
+    assert render_csv(table) == render_csv(list(table)) == (
+        "x,achievable_rate,upper_bound,p1,p2,branch\n"
+        "-0,0,inf,1e-300,1e+300,II-4\n"
+        "1e-300,1e+300,inf,-0,2.5e-07,ZERO-1\n"
+        "1e+300,0.333333333333,1.23456789012e+14,0.1,1e+16,II-4\n"
+    )
+    assert repr(list(table)) == repr([table[k] for k in range(3)])
+    assert type(table[0].x) is float and type(table[0].p2) is float
+
+
+_FALLBACK_CURVES = [
+    # A start of -0.0: the first row of the single-point curve is x = -0.
+    SweepSpec("a", -0.0, -0.0, 1, _B2, 0.5),
+    SweepSpec("b", -0.0, 4.0, 8, _B2, 0.5),
+    # Budgets of 1e-300 and 1e300 print in exponent style, by '%.12g' %.
+    SweepSpec("b", 0.0, 4.0, 40, PowerBudget(1e-300, 1e-300), 0.5),
+    SweepSpec("a", 0.0, 4.0, 40, PowerBudget(1e-300, 1e-300), 0.5, symmetric=True, power_mode=PowerMode.FULL_POWER),
+    SweepSpec("a", 0.0, 1e-300, 40, PowerBudget(1e300, 2.0), 0.5),
+    SweepSpec("b", 0.0, 1e-300, 40, PowerBudget(2.0, 1e300), 0.5),
+]
+
+
+def test_fallback_rows_render_alike_on_both_paths():
+    texts = [render_csv(_on_both_paths(spec)) for spec in _FALLBACK_CURVES]
+    assert texts[0].splitlines()[1].startswith("-0,")
+    assert all("e-300" in text or "e+300" in text for text in texts[2:])
+
+
+@pytest.mark.parametrize("error", [-0.7, -1e-9, 1e-9, 0.7])
+def test_csv_lines_survive_an_inexact_log10(monkeypatch, error):
+    # A log10 that errs only costs fallbacks: m falls below 1e11, or n
+    # rises above 1e12, wherever the decimal exponent it gives is wrong.
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + error)
+    digits = (1, 1.23456789012345, 2.5, 3.14159265358979, 6.66666666666666, 9.99, 9.9999999999996)
+    values = [float(f"{d}e{j}") for d in digits for j in range(-5, 12)]
+    _assert_formats_like_format_spec([math.nextafter(v, t) for v in values for t in (0.0, math.inf)] + values)

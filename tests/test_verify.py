@@ -232,3 +232,30 @@ def test_column_checks_report_what_the_scalar_path_reports(
     want = scalar(50, seed)
     assert len(want) == 50
     assert check(50, seed).violations == want
+
+
+# rho_star_check's seeds at the bench's verify requests where a central
+# difference of f with h = 1e-6 read |df/drho| above 1e-6 at a stationary
+# rho* near 1: the difference's truncation error, not a wrong rho*.
+@pytest.mark.parametrize("seed", [5006025, 17013011])
+def test_rho_star_check_passes_where_the_difference_quotient_failed(seed):
+    assert verify.rho_star_check(500, seed).violations == []
+
+
+def test_rho_star_check_reports_a_moved_rho_star(monkeypatch):
+    def moved(gains, alloc):
+        return bound.NoiseCorrelation(bound.rho_star(gains, alloc).rho + 1e-4)
+
+    monkeypatch.setattr(verify, "rho_star", moved)
+    violations = verify.rho_star_check(50, 2).violations
+    assert any(v.startswith("|df/drho|") for v in violations)
+
+
+def test_f_slope_is_the_derivative_of_f():
+    # Away from rho = 1 a central difference is accurate to about 1e-9.
+    a, b, p1, p2 = 0.7, 1.3, 2.0, 1.5
+    alloc, gains = PowerAllocation(p1, p2), ChannelGains(a, b)
+    for rho in (-0.5, 0.0, 0.3, 0.8):
+        h = 1e-5
+        quotient = (bound.sato_f(gains, alloc, rho + h) - bound.sato_f(gains, alloc, rho - h)) / (2 * h)
+        assert verify._f_slope(a, b, p1, p2, rho) == pytest.approx(quotient, abs=1e-8)
