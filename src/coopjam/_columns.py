@@ -109,8 +109,8 @@ def _rate_columns(a, b, p1, p2):
 def _bound_columns(a, b, pb1, pb2):
     """final_bound of `sato_upper_bound` per row, and the rows to replay."""
     with np.errstate(all="ignore"):
-        s, m, _, _, delta = _star_terms(a, b, pb1, pb2, _COLUMNS)
-        rho = _rho_root(s, m, delta, _COLUMNS)
+        s, m, d_lo, d_hi, delta = _star_terms(a, b, pb1, pb2, _COLUMNS)
+        rho = _rho_root(s, m, d_lo, d_hi, delta, _COLUMNS)
         num, arg = _f_log_arg(a, b, pb1, pb2, rho, _COLUMNS)
         f_at = 0.5 * _COLUMNS.log2(arg)
         # The cancelled form near rho = 1 or a NaN root, and `_f_value`'s check.

@@ -28,7 +28,6 @@ All functions are pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .model import (
@@ -42,6 +41,8 @@ from .model import (
     _first,
     _FLOATS,
     _require_finite,
+    _setfield,
+    _Value,
     gauss_cap,
     pos_part,
 )
@@ -70,20 +71,18 @@ class Regime(Enum):
 _MAX_SUB_CASE = {Regime.ZERO: 1, Regime.REGIME_I: 3, Regime.REGIME_II: 4}
 
 
-@dataclass(frozen=True, slots=True)
-class BranchLabel:
+class BranchLabel(_Value):
     """Identifies the exact piecewise branch that produced a rate."""
 
-    regime: Regime
-    sub_case: int
+    __slots__ = ("regime", "sub_case")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.regime, Regime):
-            raise TypeError(f"regime must be a Regime, got {self.regime!r}")
-        if not 1 <= self.sub_case <= _MAX_SUB_CASE[self.regime]:
-            raise ValueError(
-                f"sub_case {self.sub_case} invalid for regime {self.regime.value}"
-            )
+    def __init__(self, regime: Regime, sub_case: int) -> None:
+        if not isinstance(regime, Regime):
+            raise TypeError(f"regime must be a Regime, got {regime!r}")
+        if not 1 <= sub_case <= _MAX_SUB_CASE[regime]:
+            raise ValueError(f"sub_case {sub_case} invalid for regime {regime.value}")
+        _setfield(self, "regime", regime)
+        _setfield(self, "sub_case", sub_case)
 
     def __str__(self) -> str:
         return f"{self.regime.value}-{self.sub_case}"
@@ -103,8 +102,7 @@ def _branch_code(a, k, ops=_FLOATS):
     return ops.where(a >= 1.0, 1, 5) + k
 
 
-@dataclass(frozen=True, slots=True)
-class Thresholds:
+class Thresholds(_Value):
     """Interference-gain cutoffs between the REGIME_II sub-cases.
 
     beta1 separates joint decoding from the cancel-free middle branch,
@@ -113,8 +111,11 @@ class Thresholds:
     are 1, the values the rate's interval tests use there.
     """
 
-    beta1: float
-    beta2: float
+    __slots__ = ("beta1", "beta2")
+
+    def __init__(self, beta1: float, beta2: float) -> None:
+        _setfield(self, "beta1", beta1)
+        _setfield(self, "beta2", beta2)
 
     @classmethod
     def at(cls, gains: ChannelGains, alloc: PowerAllocation) -> "Thresholds":

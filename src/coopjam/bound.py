@@ -26,7 +26,7 @@ over the convex profile) and exists purely to cross-check rho_star.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 
 from .model import (
     ChannelGains,
@@ -38,6 +38,8 @@ from .model import (
     _clip,
     _FLOATS,
     _real,
+    _setfield,
+    _Value,
 )
 
 __all__ = [
@@ -70,18 +72,16 @@ def _check_rho(rho: float) -> float:
     return r
 
 
-@dataclass(frozen=True, slots=True)
-class NoiseCorrelation:
+class NoiseCorrelation(_Value):
     """Correlation between the two receivers' noise variables, in (-1, 1)."""
 
-    rho: float
+    __slots__ = ("rho",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rho", _check_rho(self.rho))
+    def __init__(self, rho: float) -> None:
+        _setfield(self, "rho", _check_rho(rho))
 
 
-@dataclass(frozen=True, slots=True)
-class SatoEvaluation:
+class SatoEvaluation(_Value):
     """Full breakdown of the bound at a budget.
 
     final_bound = min(f_at_star, g(p1_max)) clipped at zero, where
@@ -89,10 +89,19 @@ class SatoEvaluation:
     minimizing rho.
     """
 
-    rho_star: NoiseCorrelation
-    f_at_star: float
-    final_bound: RateValue
-    discriminant: float
+    __slots__ = ("rho_star", "f_at_star", "final_bound", "discriminant")
+
+    def __init__(
+        self,
+        rho_star: NoiseCorrelation,
+        f_at_star: float,
+        final_bound: RateValue,
+        discriminant: float,
+    ) -> None:
+        _setfield(self, "rho_star", rho_star)
+        _setfield(self, "f_at_star", f_at_star)
+        _setfield(self, "final_bound", final_bound)
+        _setfield(self, "discriminant", discriminant)
 
 
 def sato_f(
@@ -157,14 +166,19 @@ def _star_terms(a, b, p1, p2, ops=_FLOATS):
     return s, m, d_lo, d_hi, d_lo * d_hi
 
 
-def _rho_root(s, m, delta, ops=_FLOATS):
+def _rho_root(s, m, d_lo, d_hi, delta, ops=_FLOATS):
     """The minimizer 2s / (m + sqrt(delta)), >= 0 or NaN; 0 / 1 where s == 0.
 
     Only s == 0 makes it 0/0, where f is flat in the powers and minimized
     at rho = 0: for s > 0 some power is positive, so m >= p1 + p2 > 0.
+    Where delta = d_lo * d_hi is below the smallest normal double, the
+    product has lost digits or underflowed to 0 (budgets below about
+    1e-154), so sqrt(delta) is taken as sqrt(d_lo) * sqrt(d_hi).
     """
     flat = s == 0.0
-    return ops.where(flat, 0.0, 2.0 * s) / ops.where(flat, 1.0, m + ops.sqrt(delta))
+    tiny = delta < sys.float_info.min
+    root = ops.where(tiny, ops.sqrt(d_lo) * ops.sqrt(d_hi), ops.sqrt(delta))
+    return ops.where(flat, 0.0, 2.0 * s) / ops.where(flat, 1.0, m + root)
 
 
 def _f_numerator(rho, s, d_lo):
@@ -199,7 +213,7 @@ def _minimizer(a: float, b: float, p1: float, p2: float) -> tuple[float, ...]:
     Raises DomainError when the root is NaN: s and m overflow (inf/inf).
     """
     s, m, d_lo, d_hi, delta = _star_terms(a, b, p1, p2)
-    rho = _rho_root(s, m, delta)
+    rho = _rho_root(s, m, d_lo, d_hi, delta)
     if math.isnan(rho):
         raise DomainError(
             f"rho* = 2s / (m + sqrt(delta)) is {2.0 * s}/{m + math.sqrt(delta)}: "

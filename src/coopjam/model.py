@@ -1,7 +1,11 @@
 """Core domain types and scalar helpers shared by every other module.
 
-All types are immutable value objects validated at construction; all
-functions are pure except `_scalar_pays`, which charges coopjam's one
+All types are immutable value objects validated at construction: plain
+classes on one base, `_Value`, which gives them repr, equality, hash,
+frozen fields, copy and pickle from their `__slots__`.  No class code is
+generated for them, so they have no `__match_args__` and the standard
+library's field helpers (`fields`, `replace`, `asdict`) do not apply.
+All functions are pure except `_scalar_pays`, which charges coopjam's one
 piece of mutable state, a per-process budget of scalar work.  Rates are
 expressed in bits per channel use with base-2 logarithms throughout.
 Direct links and noise variances are normalized to one, so channels are
@@ -13,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 
 __all__ = [
     "ChannelGains",
@@ -57,8 +60,50 @@ def _require_finite(name: str, value: float) -> float:
     return x
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelGains:
+class _Value:
+    """Base of the value types: a plain class whose fields are its `__slots__`.
+
+    A subclass names its fields in `__slots__`, in the order of its
+    `__init__`'s parameters, and sets each once there through `_setfield`,
+    after its checks.  From the slots it gets the repr
+    `Name(field=value, ...)`, `==` between instances of the same type with
+    equal field tuples, the field tuple's hash, fields that cannot be
+    assigned or deleted, and copy and pickle that rebuild an instance
+    through `__init__`.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+# How a value type's `__init__` sets a field past `_Value.__setattr__`.
+_setfield = object.__setattr__
+
+
+class ChannelGains(_Value):
     """Cross power gains describing the interference geometry.
 
     a: power gain of the transmitter-to-eavesdropper link.
@@ -68,36 +113,31 @@ class ChannelGains:
     consume them; both direct links have unit gain.
     """
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _require_finite("gain a", self.a))
-        object.__setattr__(self, "b", _require_finite("gain b", self.b))
+    def __init__(self, a: float, b: float) -> None:
+        _setfield(self, "a", _require_finite("gain a", a))
+        _setfield(self, "b", _require_finite("gain b", b))
 
 
-@dataclass(frozen=True, slots=True)
-class PowerBudget:
+class PowerBudget(_Value):
     """Block-average power limits of the transmitter and the interferer."""
 
-    p1_max: float
-    p2_max: float
+    __slots__ = ("p1_max", "p2_max")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p1_max", _require_finite("p1_max", self.p1_max))
-        object.__setattr__(self, "p2_max", _require_finite("p2_max", self.p2_max))
+    def __init__(self, p1_max: float, p2_max: float) -> None:
+        _setfield(self, "p1_max", _require_finite("p1_max", p1_max))
+        _setfield(self, "p2_max", _require_finite("p2_max", p2_max))
 
 
-@dataclass(frozen=True, slots=True)
-class PowerAllocation:
+class PowerAllocation(_Value):
     """An operating point: the powers actually transmitted."""
 
-    p1: float
-    p2: float
+    __slots__ = ("p1", "p2")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p1", _require_finite("p1", self.p1))
-        object.__setattr__(self, "p2", _require_finite("p2", self.p2))
+    def __init__(self, p1: float, p2: float) -> None:
+        _setfield(self, "p1", _require_finite("p1", p1))
+        _setfield(self, "p2", _require_finite("p2", p2))
 
     def within(self, budget: PowerBudget) -> bool:
         """True when this allocation respects both limits of `budget`."""
@@ -109,23 +149,22 @@ def _in_budget(p1, p2, pb1, pb2):
     return (0.0 <= p1) & (p1 <= pb1) & (0.0 <= p2) & (p2 <= pb2)
 
 
-@dataclass(frozen=True, slots=True)
-class RateValue:
+class RateValue(_Value):
     """A secrecy rate in bits per channel use.
 
     `math.inf` is allowed and marks a power-unconstrained limit that
     diverges (no finite rate exists); finite values must be nonnegative.
     """
 
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        x = _real("rate", self.value)
+    def __init__(self, value: float) -> None:
+        x = _real("rate", value)
         if not _valid_rate(x):
             if math.isnan(x):
                 raise DomainError("rate must not be NaN")
             raise DomainError(f"rate must be >= 0, got {x}")
-        object.__setattr__(self, "value", x)
+        _setfield(self, "value", x)
 
     @property
     def unbounded(self) -> bool:

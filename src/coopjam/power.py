@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator
 
@@ -63,6 +62,8 @@ from .model import (
     _FLOATS,
     _require_finite,
     _scalar_pays,
+    _setfield,
+    _Value,
     pos_part,
 )
 
@@ -89,18 +90,25 @@ class AllocationSource(Enum):
     GRID_ORACLE = "grid_oracle"
 
 
-@dataclass(frozen=True, slots=True)
-class AllocationResult:
+class AllocationResult(_Value):
     """A chosen operating point, the rate it achieves, and where it came from."""
 
-    alloc: PowerAllocation
-    rate: RateValue
-    source: AllocationSource
-    branch: BranchLabel
+    __slots__ = ("alloc", "rate", "source", "branch")
+
+    def __init__(
+        self,
+        alloc: PowerAllocation,
+        rate: RateValue,
+        source: AllocationSource,
+        branch: BranchLabel,
+    ) -> None:
+        _setfield(self, "alloc", alloc)
+        _setfield(self, "rate", rate)
+        _setfield(self, "source", source)
+        _setfield(self, "branch", branch)
 
 
-@dataclass(frozen=True, slots=True)
-class CriticalPowers:
+class CriticalPowers(_Value):
     """The two closed-form critical powers for a given budget.
 
     p1_star may be negative when b < 1 (the decode-first strategy is
@@ -110,8 +118,11 @@ class CriticalPowers:
     can happen only outside the allocation cases that consume it.
     """
 
-    p1_star: float
-    p2_star: float
+    __slots__ = ("p1_star", "p2_star")
+
+    def __init__(self, p1_star: float, p2_star: float) -> None:
+        _setfield(self, "p1_star", p1_star)
+        _setfield(self, "p2_star", p2_star)
 
 
 def critical_powers(gains: ChannelGains, budget: PowerBudget) -> CriticalPowers:

@@ -40,7 +40,6 @@ CSV output is byte-deterministic: fixed header, 12 significant digits,
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 
@@ -55,6 +54,8 @@ from .model import (
     RateValue,
     _require_finite,
     _scalar_pays,
+    _setfield,
+    _Value,
 )
 from .power import optimal_allocation
 
@@ -82,8 +83,7 @@ class PowerMode(Enum):
     FULL_POWER = "full"
 
 
-@dataclass(frozen=True, slots=True)
-class SweepSpec:
+class SweepSpec(_Value):
     """Description of one sweep.
 
     `param` names the swept gain ("a" or "b"); `fixed_gain` is the value
@@ -91,46 +91,65 @@ class SweepSpec:
     abscissa and `fixed_gain` is ignored.
     """
 
-    param: str
-    start: float
-    end: float
-    steps: int
-    budget: PowerBudget
-    fixed_gain: float = 0.0
-    symmetric: bool = False
-    power_mode: PowerMode = PowerMode.OPTIMAL_CONTROL
+    __slots__ = (
+        "param", "start", "end", "steps", "budget", "fixed_gain", "symmetric", "power_mode"
+    )
 
-    def __post_init__(self) -> None:
-        if self.param not in ("a", "b"):
-            raise DomainError(f"param must be 'a' or 'b', got {self.param!r}")
-        start = _require_finite("start", self.start)
-        end = _require_finite("end", self.end)
+    def __init__(
+        self,
+        param: str,
+        start: float,
+        end: float,
+        steps: int,
+        budget: PowerBudget,
+        fixed_gain: float = 0.0,
+        symmetric: bool = False,
+        power_mode: PowerMode = PowerMode.OPTIMAL_CONTROL,
+    ) -> None:
+        if param not in ("a", "b"):
+            raise DomainError(f"param must be 'a' or 'b', got {param!r}")
+        start = _require_finite("start", start)
+        end = _require_finite("end", end)
         if start > end:
             raise DomainError(f"start {start} exceeds end {end}")
         # bool is an int subclass, but True is not a step count.
-        if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1:
-            raise DomainError(f"steps must be an integer >= 1, got {self.steps!r}")
-        fixed = _require_finite("fixed_gain", self.fixed_gain)
-        if not isinstance(self.budget, PowerBudget):
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+            raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
+        fixed_gain = _require_finite("fixed_gain", fixed_gain)
+        if not isinstance(budget, PowerBudget):
             raise DomainError("budget must be a PowerBudget")
-        if not isinstance(self.power_mode, PowerMode):
+        if not isinstance(power_mode, PowerMode):
             raise DomainError("power_mode must be a PowerMode")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "fixed_gain", fixed)
-        object.__setattr__(self, "symmetric", bool(self.symmetric))
+        _setfield(self, "param", param)
+        _setfield(self, "start", start)
+        _setfield(self, "end", end)
+        _setfield(self, "steps", steps)
+        _setfield(self, "budget", budget)
+        _setfield(self, "fixed_gain", fixed_gain)
+        _setfield(self, "symmetric", bool(symmetric))
+        _setfield(self, "power_mode", power_mode)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepRow:
+class SweepRow(_Value):
     """One abscissa of a sweep with everything needed to plot it."""
 
-    x: float
-    achievable: RateValue
-    upper_bound: RateValue
-    p1: float
-    p2: float
-    branch: BranchLabel
+    __slots__ = ("x", "achievable", "upper_bound", "p1", "p2", "branch")
+
+    def __init__(
+        self,
+        x: float,
+        achievable: RateValue,
+        upper_bound: RateValue,
+        p1: float,
+        p2: float,
+        branch: BranchLabel,
+    ) -> None:
+        _setfield(self, "x", x)
+        _setfield(self, "achievable", achievable)
+        _setfield(self, "upper_bound", upper_bound)
+        _setfield(self, "p1", p1)
+        _setfield(self, "p2", p2)
+        _setfield(self, "branch", branch)
 
 
 def _gain_pair(spec: SweepSpec, x, fixed):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .achievable import Thresholds, achievable_rate, wiretap_capacity
@@ -38,7 +37,14 @@ from .bound import (
     sato_f,
     sato_upper_bound,
 )
-from .model import _GRID_STEPS, ChannelGains, DomainError, PowerAllocation, PowerBudget
+from .model import (
+    _GRID_STEPS,
+    ChannelGains,
+    DomainError,
+    PowerAllocation,
+    PowerBudget,
+    _Value,
+)
 from .power import (
     _check_grid_steps,
     asymptotic_rate,
@@ -72,15 +78,30 @@ ASYMPTOTIC_BUDGET = 1e8
 LINE_MARGIN = 0.05
 
 
-@dataclass
-class CheckResult:
+class CheckResult(_Value):
     """Outcome of one check: its name, sample count, any violations, and
-    its wall time in seconds (set by `run_all`)."""
+    its wall time in seconds (set by `run_all`).
 
-    name: str
-    samples: int
-    violations: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
+    The one mutable value type: a check appends its violations, and
+    `run_all` sets `elapsed_s`; so, like a list, it has no hash.
+    """
+
+    __slots__ = ("name", "samples", "violations", "elapsed_s")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        name: str,
+        samples: int,
+        violations: list[str] | None = None,
+        elapsed_s: float = 0.0,
+    ) -> None:
+        self.name = name
+        self.samples = samples
+        self.violations = [] if violations is None else violations
+        self.elapsed_s = elapsed_s
 
     @property
     def ok(self) -> bool:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import decimal_reference as ref
 from coopjam.bound import (
     NoiseCorrelation,
     _f_at_star_cancelled,
+    _minimizer,
+    _rho_root,
     _star_terms,
     rho_min_oracle,
     rho_star,
@@ -325,3 +328,35 @@ def test_bound_is_nondecreasing_in_the_budget_across_tiny_cross_amplitudes():
         for k in range(1, 11)
     ]
     assert bounds == sorted(bounds)
+
+
+# delta = d_lo * d_hi underflows below budgets of about 1e-154: subnormal
+# at 1e-160, 0 at 1e-300 and at the unequal pair.
+_UNDERFLOW = [(0.9, 1.1, 1e-160, 1e-160), (0.9, 1.1, 1e-300, 1e-300), (0.5, 2.0, 1e-200, 3e-250)]
+
+
+@pytest.mark.parametrize("point", _UNDERFLOW)
+def test_rho_star_where_the_discriminant_underflows(point):
+    a, b, p1, p2 = point
+    # m = A*B - s^2 - 1 keeps about `digits` - 300 digits at budgets of 1e-300.
+    truth = float(ref.rho_star(*point, digits=400))
+    ev = sato_upper_bound(ChannelGains(a, b), PowerBudget(p1, p2))
+    assert ev.discriminant < sys.float_info.min
+    assert ev.rho_star.rho == pytest.approx(truth, rel=1e-12)
+    assert rho_star(ChannelGains(a, b), PowerAllocation(p1, p2)).rho == ev.rho_star.rho
+
+
+def test_column_rho_root_equals_the_scalar_one_where_the_discriminant_underflows():
+    from coopjam._columns import _COLUMNS
+
+    points = [*_UNDERFLOW, (0.9, 1.1, 2.0, 2.0), (0.0, 0.0, 1.0, 1.0)]
+    a, b, p1, p2 = (np.array(column) for column in zip(*points))
+    rho = _rho_root(*_star_terms(a, b, p1, p2, _COLUMNS), _COLUMNS)
+    assert rho.tolist() == [_minimizer(*point)[0] for point in points]
+
+
+def test_cli_prints_rho_star_where_the_discriminant_underflows(capsys):
+    from coopjam.cli import main
+
+    assert main(["bound", "--a", "0.9", "--b", "1.1", "--pbar1", "1e-300", "--pbar2", "1e-300"]) == 0
+    assert "rho_star = 0.951129872263\n" in capsys.readouterr().out

@@ -1,6 +1,8 @@
 import ast
+import copy
 import itertools
 import math
+import pickle
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 import coopjam
 from coopjam._columns import _COLUMNS
 from coopjam._columns import _square as _column_square
-from coopjam.bound import NoiseCorrelation, _f_defined, sato_f
+from coopjam.achievable import BranchLabel, Regime, Thresholds
+from coopjam.bound import NoiseCorrelation, SatoEvaluation, _f_defined, sato_f
 from coopjam.model import (
     ChannelGains,
     DomainError,
@@ -28,7 +31,9 @@ from coopjam.model import (
     gauss_cap,
     pos_part,
 )
-from coopjam.power import _p2_star_exists
+from coopjam.power import AllocationResult, AllocationSource, CriticalPowers, _p2_star_exists
+from coopjam.sweep import PowerMode, SweepRow, SweepSpec
+from coopjam.verify import CheckResult
 
 
 def test_gauss_cap_known_points():
@@ -155,6 +160,188 @@ def test_types_are_immutable():
 def test_value_checks_name_the_quantity(build, named):
     with pytest.raises(DomainError, match=rf"^{named} must "):
         build()
+
+
+_LABEL = BranchLabel(Regime.REGIME_II, 3)
+_LABEL_REPR = "BranchLabel(regime=<Regime.REGIME_II: 'II'>, sub_case=3)"
+
+# Each value type: keyword arguments for every field, in field order, and
+# the repr of the value they build.
+VALUE_TYPES = {
+    "ChannelGains": (ChannelGains, {"a": 1, "b": 2.5}, "ChannelGains(a=1.0, b=2.5)"),
+    "PowerBudget": (
+        PowerBudget, {"p1_max": 2, "p2_max": 0.5}, "PowerBudget(p1_max=2.0, p2_max=0.5)"
+    ),
+    "PowerAllocation": (
+        PowerAllocation, {"p1": 1.0, "p2": 0}, "PowerAllocation(p1=1.0, p2=0.0)"
+    ),
+    "RateValue": (RateValue, {"value": math.inf}, "RateValue(value=inf)"),
+    "BranchLabel": (BranchLabel, {"regime": Regime.REGIME_II, "sub_case": 3}, _LABEL_REPR),
+    "Thresholds": (Thresholds, {"beta1": 1.5, "beta2": 0.5}, "Thresholds(beta1=1.5, beta2=0.5)"),
+    "NoiseCorrelation": (NoiseCorrelation, {"rho": -0.25}, "NoiseCorrelation(rho=-0.25)"),
+    "SatoEvaluation": (
+        SatoEvaluation,
+        {
+            "rho_star": NoiseCorrelation(0.5),
+            "f_at_star": 0.75,
+            "final_bound": RateValue(0.5),
+            "discriminant": 4.0,
+        },
+        "SatoEvaluation(rho_star=NoiseCorrelation(rho=0.5), f_at_star=0.75,"
+        " final_bound=RateValue(value=0.5), discriminant=4.0)",
+    ),
+    "AllocationResult": (
+        AllocationResult,
+        {
+            "alloc": PowerAllocation(1.0, 0.5),
+            "rate": RateValue(0.25),
+            "source": AllocationSource.CLOSED_FORM,
+            "branch": _LABEL,
+        },
+        "AllocationResult(alloc=PowerAllocation(p1=1.0, p2=0.5), rate=RateValue(value=0.25),"
+        f" source=<AllocationSource.CLOSED_FORM: 'closed_form'>, branch={_LABEL_REPR})",
+    ),
+    "CriticalPowers": (
+        CriticalPowers, {"p1_star": -0.5, "p2_star": 3.0}, "CriticalPowers(p1_star=-0.5, p2_star=3.0)"
+    ),
+    "SweepSpec": (
+        SweepSpec,
+        {
+            "param": "b",
+            "start": 0,
+            "end": 4,
+            "steps": 8,
+            "budget": PowerBudget(2.0, 2.0),
+            "fixed_gain": 1,
+            "symmetric": 1,
+            "power_mode": PowerMode.FULL_POWER,
+        },
+        "SweepSpec(param='b', start=0.0, end=4.0, steps=8,"
+        " budget=PowerBudget(p1_max=2.0, p2_max=2.0), fixed_gain=1.0, symmetric=True,"
+        " power_mode=<PowerMode.FULL_POWER: 'full'>)",
+    ),
+    "SweepRow": (
+        SweepRow,
+        {
+            "x": 0.5,
+            "achievable": RateValue(0.25),
+            "upper_bound": RateValue(0.5),
+            "p1": 2.0,
+            "p2": 1.0,
+            "branch": _LABEL,
+        },
+        "SweepRow(x=0.5, achievable=RateValue(value=0.25), upper_bound=RateValue(value=0.5),"
+        f" p1=2.0, p2=1.0, branch={_LABEL_REPR})",
+    ),
+    "CheckResult": (
+        CheckResult,
+        {"name": "soundness", "samples": 10, "violations": ["x"], "elapsed_s": 0.5},
+        "CheckResult(name='soundness', samples=10, violations=['x'], elapsed_s=0.5)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUE_TYPES))
+def test_value_type_is_a_record_of_its_fields(name):
+    cls, kwargs, text = VALUE_TYPES[name]
+    value = cls(**kwargs)
+    fields = tuple(getattr(value, field) for field in kwargs)
+    assert repr(value) == text
+    assert value == cls(*kwargs.values()) and not value != cls(*kwargs.values())
+    assert value != fields and fields != value
+    assert all(value != other(**args) for other, args, _ in VALUE_TYPES.values() if other is not cls)
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is cls and clone == value and repr(clone) == text
+    if cls is CheckResult:
+        # The one mutable type: unhashable, and a fresh violations list each.
+        with pytest.raises(TypeError):
+            hash(value)
+        value.elapsed_s = 1.5
+        assert value.elapsed_s == 1.5
+        first, second = CheckResult("a", 1), CheckResult("a", 1)
+        first.violations.append("x")
+        assert second.violations == []
+        assert copy.deepcopy(value).violations is not value.violations
+        return
+    assert hash(value) == hash(fields)
+    for field in kwargs:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert tuple(getattr(value, field) for field in kwargs) == fields
+
+
+def test_value_types_of_equal_fields_differ_by_type_and_value():
+    assert ChannelGains(1, 2) != PowerBudget(1, 2)
+    assert PowerAllocation(1, 2) != PowerBudget(1, 2)
+    assert ChannelGains(1, 2) != ChannelGains(1, 3)
+    assert ChannelGains(1, 2) == ChannelGains(1.0, 2.0)
+    assert len({ChannelGains(1, 2), ChannelGains(1.0, 2.0), PowerBudget(1, 2)}) == 2
+
+
+def test_sweep_spec_defaults():
+    spec = SweepSpec("a", 0.0, 4.0, 10, PowerBudget(2.0, 2.0))
+    assert (spec.fixed_gain, spec.symmetric, spec.power_mode) == (
+        0.0, False, PowerMode.OPTIMAL_CONTROL
+    )
+    assert spec == SweepSpec(
+        param="a", start=0.0, end=4.0, steps=10, budget=PowerBudget(2.0, 2.0),
+        fixed_gain=0.0, symmetric=False, power_mode=PowerMode.OPTIMAL_CONTROL,
+    )
+
+
+_BUDGET = PowerBudget(2.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ChannelGains(-1, 1), DomainError, "gain a must be >= 0.0, got -1.0"),
+        (lambda: PowerBudget(math.inf, 1), DomainError, "p1_max must be finite, got inf"),
+        (lambda: PowerAllocation(1, "y"), DomainError, "p2 must be a real number, got 'y'"),
+        (lambda: RateValue(math.nan), DomainError, "rate must not be NaN"),
+        (lambda: RateValue(-0.5), DomainError, "rate must be >= 0, got -0.5"),
+        (lambda: BranchLabel("I", 1), TypeError, "regime must be a Regime, got 'I'"),
+        (lambda: BranchLabel(Regime.ZERO, 2), ValueError, "sub_case 2 invalid for regime ZERO"),
+        (
+            lambda: NoiseCorrelation(NoiseCorrelation(0.25)),
+            DomainError,
+            "rho must be a real number, got NoiseCorrelation(rho=0.25)",
+        ),
+        (
+            lambda: NoiseCorrelation(1),
+            DomainError,
+            "rho must lie strictly inside (-1, 1), got 1.0",
+        ),
+        (
+            lambda: SweepSpec("c", 0, 1, 1, _BUDGET),
+            DomainError,
+            "param must be 'a' or 'b', got 'c'",
+        ),
+        (lambda: SweepSpec("a", 2, 1, 1, _BUDGET), DomainError, "start 2.0 exceeds end 1.0"),
+        (
+            lambda: SweepSpec("a", 0, 1, True, _BUDGET),
+            DomainError,
+            "steps must be an integer >= 1, got True",
+        ),
+        (
+            lambda: SweepSpec("a", 0, 1, 1, _BUDGET, fixed_gain=-1),
+            DomainError,
+            "fixed_gain must be >= 0.0, got -1.0",
+        ),
+        (lambda: SweepSpec("a", 0, 1, 1, (2, 2)), DomainError, "budget must be a PowerBudget"),
+        (
+            lambda: SweepSpec("a", 0, 1, 1, _BUDGET, power_mode="full"),
+            DomainError,
+            "power_mode must be a PowerMode",
+        ),
+    ],
+)
+def test_value_type_validation_messages(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_square_is_the_correctly_rounded_product():

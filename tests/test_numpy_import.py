@@ -117,6 +117,35 @@ def test_command_loads_only_the_modules_it_runs(name):
     assert proc.stderr.splitlines()[-1].split() == sorted(expected)
 
 
+# Standard-library modules that cost a process milliseconds to import and
+# that coopjam does not need: the value types are plain classes.
+_UNNEEDED = ("dataclasses", "inspect")
+
+_PRINT_UNNEEDED = f"print(*[m for m in {_UNNEEDED!r} if m in sys.modules], file=sys.stderr)\n"
+
+
+@pytest.mark.parametrize("name", ["rate", "bound", "check-grid", "sweep", "fig2", "verify"])
+def test_command_loads_neither_dataclasses_nor_inspect(name):
+    argv = {**SCALAR_COMMANDS, "verify": NUMPY_COMMANDS["verify"]}[name]
+    proc = _child(
+        "import sys\n"
+        "import coopjam.cli\n"
+        f"code = coopjam.cli.main({argv!r})\n"
+        + _PRINT_UNNEEDED
+        + "print('numpy' in sys.modules, file=sys.stderr)\n"
+        + "sys.exit(code)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    *_, loaded, numpy_loaded = proc.stderr.splitlines()
+    if numpy_loaded == "True":
+        # NumPy 2 imports `inspect` itself; what NumPy's own import loads
+        # does not count.
+        numpy_own = _child("import sys\nimport numpy\n" + _PRINT_UNNEEDED)
+        assert numpy_own.returncode == 0, numpy_own.stderr
+        loaded = " ".join(m for m in loaded.split() if m not in numpy_own.stderr.split())
+    assert loaded == ""
+
+
 @pytest.mark.parametrize("name", sorted(SCALAR_COMMANDS))
 def test_scalar_command_runs_where_numpy_cannot_import(name, capsys):
     argv = SCALAR_COMMANDS[name]
