@@ -15,19 +15,21 @@ regimes exist in `a`:
 
 `_betas` clamps `a` at 1 itself, which makes both thresholds exactly 1
 in regime I, so no caller tells the regimes apart to test the intervals.
-`_conditions`, `_term_snrs`, `_misselected` and `_branch_code` write the
-tests, the rate terms' SNRs, the misselection check and the branch code
-once, for float or NumPy inputs, so the lattice oracle in `power` and
-the sweep's columns evaluate them too; a caller with an array `a` passes
-one `ops` of array stand-ins.  `_LABELS` is indexed by a branch
-code: 0 is ZERO-1, 1 + k is regime I's term k and 5 + k regime II's.
+`_conditions` and `_term_snrs` write the interval tests and the rate
+terms' SNRs once, for float or NumPy inputs, so the lattice oracle in
+`power` evaluates them too; a caller with an array `a` passes one `ops`
+of array stand-ins.  `_rate_kernel` is the code of `achievable_rate`:
+the case that applies, its rate, branch code, and the misselection
+check.  `achievable_rate` calls it on floats and raises from its flags,
+and the sweep and `verify` call it on columns (see `_columns`).
+`_LABELS` is indexed by a branch code: 0 is ZERO-1, 1 + k is regime I's
+term k and 5 + k regime II's.
 
 All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 from .model import (
@@ -97,11 +99,6 @@ _LABELS = (
 )
 
 
-def _branch_code(a, k, ops=_FLOATS):
-    """The `_LABELS` index of rate term k outside ZERO; float or array `a`."""
-    return ops.where(a >= 1.0, 1, 5) + k
-
-
 class Thresholds(_Value):
     """Interference-gain cutoffs between the REGIME_II sub-cases.
 
@@ -148,15 +145,6 @@ def _conditions(a, b, p1, p2, ops=_FLOATS):
     return a >= 1.0 + p2, b >= 1.0 + p1, b >= beta1, b >= beta2
 
 
-def _misselected(raw, a, k):
-    """Where the unclipped rate `raw` of term k is negative beyond rounding.
-
-    Only regime I's joint and treat-as-noise terms may go negative on
-    their own intervals.  Float or array inputs.
-    """
-    return (raw < _NEG_TOL) & ((a < 1.0) | (k == 0))
-
-
 def _term_snrs(k, a, b, p1, p2):
     """The SNRs (x, y) of rate term k, which is _cap(x) - _cap(y).
 
@@ -173,6 +161,26 @@ def _term_snrs(k, a, b, p1, p2):
     return x, a * p1 / (1.0 + p2)
 
 
+def _rate_kernel(a, b, p1, p2, ops=_FLOATS):
+    """The rate of `achievable_rate`, its branch code, and where it raises.
+
+    Case c is the first of `_conditions` that holds, 4 where none does:
+    0 is ZERO, whose SNRs are 0 and rate exactly 0, and 1 + k is rate
+    term k of `_term_snrs`, whose branch code is 1 + k in regime I and
+    5 + k in regime II.  On floats only case c's SNRs are evaluated.
+    Returns (rate, code, raw, finite, misselected): the clipped rate, its
+    `_LABELS` index, the unclipped rate, where that is finite, and where
+    it is negative beyond `_NEG_TOL` on a term that cannot go negative on
+    its own interval.  Float or array inputs, with `ops` to match.
+    """
+    c = _first(_conditions(a, b, p1, p2, ops))
+    x, y = ops.pick(c, range(5), lambda c: _term_snrs(c - 1, a, b, p1, p2) if c else (0.0, 0.0))
+    raw = _cap(x, ops.log2) - _cap(y, ops.log2)
+    code = ops.where((c == 0) | (a >= 1.0), c, c + 4)
+    misselected = (raw < _NEG_TOL) & ((a < 1.0) | (c == 1))
+    return _clip(raw, ops), code, raw, ops.isfinite(raw), misselected
+
+
 def achievable_rate(
     gains: ChannelGains, alloc: PowerAllocation
 ) -> tuple[RateValue, BranchLabel]:
@@ -183,21 +191,13 @@ def achievable_rate(
     label is deterministic; the rate itself is continuous across every
     boundary.  Raises DomainError when the selected term overflows.
     """
-    a, b = gains.a, gains.b
-    p1, p2 = alloc.p1, alloc.p2
-
-    zero, decode, joint, mid = _conditions(a, b, p1, p2)
-    if zero:
-        return RateValue(0.0), _LABELS[0]
-    k = _first((decode, joint, mid))
-    x, y = _term_snrs(k, a, b, p1, p2)
-    raw = _cap(x, math.log2) - _cap(y, math.log2)
-    branch = _LABELS[_branch_code(a, k)]
-    if not math.isfinite(raw):
+    rate, code, raw, finite, misselected = _rate_kernel(gains.a, gains.b, alloc.p1, alloc.p2)
+    branch = _LABELS[code]
+    if not finite:
         raise DomainError(f"rate of branch {branch} overflows at {gains}, {alloc}")
-    if _misselected(raw, a, k):
+    if misselected:
         raise InvariantViolation(f"rate {raw} < 0 in {branch} at {gains}, {alloc}")
-    return RateValue(_clip(raw)), branch
+    return RateValue(rate), branch
 
 
 def wiretap_capacity(a: float, p1: float) -> RateValue:

@@ -14,10 +14,15 @@ and increasing in both powers, so the bound evaluates at full budgets.
 The final capacity bound additionally caps this with the jamming-free
 direct-link capacity g(P1_max).
 
-The rules that decide the bound (`_star_terms`, `_rho_root`, `_direct`,
-`_f_defined`, `_final_bound`, `_unsound`) take float or array inputs,
-with one `ops` of stand-ins for `min`, `sqrt`, the square, `where` and
-`log2` to match, so the columns of `sweep` and `verify` reuse them.
+`_bound_kernel` is the code of `sato_upper_bound`: rho_star and its
+terms, f there and the final bound, from the rules that decide them
+(`_star_terms`, `_rho_root`, `_direct`, `_f_defined`, `_final_bound`).
+It takes float or array inputs with one `ops` to match:
+`sato_upper_bound` calls it on floats and raises from what it returns,
+and `sweep` and `verify` call it on columns (see `_columns`), as they
+call `_unsound`.  Only the cancelled form of f near the degraded line
+(`_f_at_star_cancelled`) is floats only: the kernel gives f as NaN
+there, and the columns replay those rows.
 
 `rho_min_oracle` re-derives the minimizer numerically (golden-section
 over the convex profile) and exists purely to cross-check rho_star.
@@ -39,6 +44,7 @@ from .model import (
     _FLOATS,
     _real,
     _setfield,
+    _square,
     _Value,
 )
 
@@ -104,24 +110,26 @@ class SatoEvaluation(_Value):
         _setfield(self, "discriminant", discriminant)
 
 
-def sato_f(
-    gains: ChannelGains, alloc: PowerAllocation, rho: float | NoiseCorrelation
-) -> float:
-    """The genie-aided conditional mutual information at one (powers, rho) point."""
+def sato_f(gains: ChannelGains, alloc: PowerAllocation, rho: float | NoiseCorrelation) -> float:
+    """The genie-aided conditional mutual information at one (powers, rho) point.
+
+    A numerator that is not positive in floats is a DomainError.
+    """
     r = rho.rho if isinstance(rho, NoiseCorrelation) else _check_rho(rho)
-    return _f_value(gains.a, gains.b, alloc.p1, alloc.p2, r)
-
-
-def _f_value(a: float, b: float, p1: float, p2: float, r: float) -> float:
-    """f at a checked rho; a numerator that is not positive is a DomainError."""
+    a, b, p1, p2 = gains.a, gains.b, alloc.p1, alloc.p2
     num, arg = _f_log_arg(a, b, p1, p2, r)
     if not _f_defined(num):
-        # Positive for |rho| < 1, but A*B and (rho + s)^2 may cancel in floats.
-        raise DomainError(
-            f"A*B - (rho + s)^2 in the bound is {num}, not > 0, in floats"
-            f" at a={a}, b={b}, p1={p1}, p2={p2}, rho={r}"
-        )
+        raise _numerator_error(num, a, b, p1, p2, r)
     return 0.5 * math.log2(arg)
+
+
+def _numerator_error(num: float, a: float, b: float, p1: float, p2: float, r: float):
+    """The DomainError where f's numerator `num` at rho = r is not positive."""
+    # Positive for |rho| < 1, but A*B and (rho + s)^2 may cancel in floats.
+    return DomainError(
+        f"A*B - (rho + s)^2 in the bound is {num}, not > 0, in floats"
+        f" at a={a}, b={b}, p1={p1}, p2={p2}, rho={r}"
+    )
 
 
 def _f_defined(num):
@@ -205,21 +213,13 @@ def _unsound(rate, bound):
     return rate > bound + SOUNDNESS_TOL
 
 
-def _minimizer(a: float, b: float, p1: float, p2: float) -> tuple[float, ...]:
-    """The minimizer of f before clamping, and the `_star_terms` it came from.
-
-    Returns (rho, s, m, d_lo, d_hi, delta); rho is 0 when s vanishes.
-    `rho_min_oracle` re-derives rho to within its bracket width 1e-10.
-    Raises DomainError when the root is NaN: s and m overflow (inf/inf).
-    """
-    s, m, d_lo, d_hi, delta = _star_terms(a, b, p1, p2)
-    rho = _rho_root(s, m, d_lo, d_hi, delta)
-    if math.isnan(rho):
-        raise DomainError(
-            f"rho* = 2s / (m + sqrt(delta)) is {2.0 * s}/{m + math.sqrt(delta)}: "
-            f"s = {s} and m = {m} overflow at a={a}, b={b}, p1={p1}, p2={p2}"
-        )
-    return rho, s, m, d_lo, d_hi, delta
+def _root_error(terms: tuple, a: float, b: float, p1: float, p2: float):
+    """The DomainError where the root of `terms` is NaN: s and m overflow (inf/inf)."""
+    s, m, _, _, delta = terms
+    return DomainError(
+        f"rho* = 2s / (m + sqrt(delta)) is {2.0 * s}/{m + math.sqrt(delta)}: "
+        f"s = {s} and m = {m} overflow at a={a}, b={b}, p1={p1}, p2={p2}"
+    )
 
 
 def rho_star(gains: ChannelGains, alloc: PowerAllocation) -> NoiseCorrelation:
@@ -227,12 +227,18 @@ def rho_star(gains: ChannelGains, alloc: PowerAllocation) -> NoiseCorrelation:
 
     Computed in the conjugate form 2s / (m + sqrt(delta)), which avoids
     the cancellation the quoted difference form suffers for small s.
-    The result lies in (0, 1]; exactly 1 occurs only on the degraded
-    line and is clamped just inside the open interval.  With both
-    cross-amplitudes zero f's minimum sits at rho = 0, which is returned
-    directly.
+    The result lies in [0, 1 - 1e-12]: where s == 0 (both
+    cross-amplitudes zero) f is flat and 0 is returned, and a root of 1,
+    which occurs only on the degraded line, or within 1e-12 of it is
+    clamped to 1 - 1e-12, inside the open interval.  `rho_min_oracle`
+    re-derives the root to within its bracket width 1e-10.  A NaN root,
+    where s and m overflow, is a DomainError.
     """
-    rho = _minimizer(gains.a, gains.b, alloc.p1, alloc.p2)[0]
+    a, b, p1, p2 = gains.a, gains.b, alloc.p1, alloc.p2
+    terms = _star_terms(a, b, p1, p2)
+    rho = _rho_root(*terms)
+    if math.isnan(rho):
+        raise _root_error(terms, a, b, p1, p2)
     return NoiseCorrelation(min(rho, _RHO_CLAMP))
 
 
@@ -293,12 +299,36 @@ def _f_at_star_cancelled(
 
     which is exact for every interior minimizer and finite at u = 1.
     """
-    u = (m + 1.0) / (math.sqrt(s * s + m + 1.0) + s)
+    u = (m + 1.0) / (math.sqrt(_square(s, "s^2 in the bound") + m + 1.0) + s)
     t = u + 1.0 + 2.0 * s
     r_lo, r_hi = math.sqrt(d_lo), math.sqrt(d_hi)
     ratio = (r_lo * (u + 1.0) * (u + 2.0 * s) / t + u * r_hi) / (r_lo + r_hi)
     eave = 1.0 + a * p1 + p2
     return 0.5 * math.log2(ratio * (u + 2.0 * s + rho) / ((1.0 + rho) * eave))
+
+
+def _bound_kernel(a, b, p1, p2, ops=_FLOATS):
+    """rho*, f(rho*) and the final bound of `sato_upper_bound` at budgets p1, p2.
+
+    Returns (rho, f_at, bound, terms, num): rho before clamping, the
+    `_star_terms` it came from, and f's numerator.  f is evaluated only
+    where `_direct(rho)`, so not at a NaN root, and its log only where
+    num is positive; elsewhere num and f_at are NaN, and
+    `sato_upper_bound` takes the cancelled form or raises.  Float or
+    array inputs, with `ops` to match.
+    """
+    terms = _star_terms(a, b, p1, p2, ops)
+    rho = _rho_root(*terms, ops)
+
+    def direct_f(direct):
+        if not direct:
+            return math.nan, math.nan
+        num, arg = _f_log_arg(a, b, p1, p2, rho, ops)
+        # The log of NaN, where num is not positive, is NaN and raises nowhere.
+        return num, 0.5 * ops.log2(ops.where(_f_defined(num), arg, math.nan))
+
+    num, f_at = ops.pick(_direct(rho), (False, True), direct_f)
+    return rho, f_at, _final_bound(f_at, p1, ops), terms, num
 
 
 def sato_upper_bound(gains: ChannelGains, budget: PowerBudget) -> SatoEvaluation:
@@ -310,12 +340,14 @@ def sato_upper_bound(gains: ChannelGains, budget: PowerBudget) -> SatoEvaluation
     (see `_f_at_star_cancelled`), keeping the bound exact on and near
     the degraded line.
     """
-    a, b = gains.a, gains.b
-    p1, p2 = budget.p1_max, budget.p2_max
-    raw, s, m, d_lo, d_hi, delta = _minimizer(a, b, p1, p2)
-    if _direct(raw):
-        f_at = _f_value(a, b, p1, p2, raw)
-    else:
-        f_at = _f_at_star_cancelled(a, p1, p2, s, m, d_lo, d_hi, raw)
-    rho = NoiseCorrelation(min(raw, _RHO_CLAMP))
-    return SatoEvaluation(rho, f_at, RateValue(_final_bound(f_at, p1)), delta)
+    a, b, p1, p2 = gains.a, gains.b, budget.p1_max, budget.p2_max
+    rho, f_at, bound, terms, num = _bound_kernel(a, b, p1, p2)
+    if math.isnan(f_at):  # f is not evaluated directly, or log2 of inf / inf
+        if math.isnan(rho):
+            raise _root_error(terms, a, b, p1, p2)
+        if not _direct(rho):
+            f_at = _f_at_star_cancelled(a, p1, p2, *terms[:4], rho)
+            bound = _final_bound(f_at, p1)
+        elif not _f_defined(num):
+            raise _numerator_error(num, a, b, p1, p2, rho)
+    return SatoEvaluation(NoiseCorrelation(min(rho, _RHO_CLAMP)), f_at, RateValue(bound), terms[4])

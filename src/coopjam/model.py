@@ -210,9 +210,14 @@ def _square(x: float, name: str) -> float:
 
 # A formula shared by floats and NumPy columns takes its helpers as one
 # `ops`: these by default, the columns' array stand-ins in the sweep and
-# in `verify`.
-_Ops = namedtuple("_Ops", "min sqrt square where log2")
-_FLOATS = _Ops(min, math.sqrt, _square, lambda test, x, y: x if test else y, math.log2)
+# in `verify`.  `pick(k, cases, term)` is term(cases[k]): on floats only
+# the chosen case's term is evaluated, so a kernel raises what the scalar
+# code raises and nothing more; on columns each row takes its own k's.
+_Ops = namedtuple("_Ops", "min sqrt square where log2 pick isfinite")
+_FLOATS = _Ops(
+    min, math.sqrt, _square, lambda test, x, y: x if test else y, math.log2,
+    lambda k, cases, term: term(cases[k]), math.isfinite,
+)
 
 
 def _clip(x, ops=_FLOATS):
@@ -220,11 +225,17 @@ def _clip(x, ops=_FLOATS):
     return ops.where(x > 0.0, x, 0.0)
 
 
-def _first(tests, ops=_FLOATS):
-    """The index of the first of `tests` that holds, len(tests) where none does."""
-    first = len(tests)
-    for k in reversed(range(first)):
-        first = ops.where(tests[k], k, first)
+def _first(tests):
+    """The index of the first of `tests` that holds, len(tests) where none does.
+
+    It is len(tests), less one for each test at or after the first that
+    holds.  Only `|` and `-` compute it, so bools and NumPy bool arrays
+    take the same code, and it needs no `ops`.
+    """
+    first, seen = len(tests), False
+    for test in tests:
+        seen = seen | test
+        first = first - seen
     return first
 
 

@@ -8,7 +8,14 @@ one for a < 1.  Two critical powers appear in them:
 * p2_star: the stationary jammer power of the treat-as-noise branch,
   beyond which extra jamming hurts the receiver more than the
   eavesdropper.  `_p2_star_terms` writes it without cancellation up to
-  the degraded line a*b = 1, so every case is answered in closed form.
+  the degraded line a*b = 1, so every case is answered in closed form;
+  `_p2_star` adds p2_star = +inf at b = 0.
+
+`_allocation_kernel` is the code of `optimal_allocation`: the first of
+`_allocation_cases` that holds, its powers, and p2_star where it jams.
+It takes float or array inputs with one `ops` to match:
+`optimal_allocation` calls it on floats and raises from its flags, and
+the sweep calls it on columns (see `_columns`).
 
 `grid_search_allocation` is an independently-maximizing lattice oracle
 used to validate the closed form.  It evaluates the same rate terms and
@@ -60,6 +67,7 @@ from .model import (
     RateValue,
     _first,
     _FLOATS,
+    _in_budget,
     _require_finite,
     _scalar_pays,
     _setfield,
@@ -130,9 +138,19 @@ def critical_powers(gains: ChannelGains, budget: PowerBudget) -> CriticalPowers:
     a, b = gains.a, gains.b
     if a * b >= 1.0:
         raise DomainError(f"p2_star is defined only for a*b < 1, got a*b = {a * b}")
-    p1_star = b - 1.0
-    p2_star = math.inf if b == 0.0 else _p2_star_terms(a, b, budget.p1_max)
-    return CriticalPowers(p1_star, p2_star)
+    return CriticalPowers(b - 1.0, _p2_star(a, b, budget.p1_max))
+
+
+def _p2_star(a, b, pb1, ops=_FLOATS):
+    """p2_star for a*b < 1: `_p2_star_terms`, and +inf where b == 0.
+
+    At b == 0 jamming never reaches the receiver, so any jammer power
+    helps; Python's 1.0 / b would raise there.  Float or array inputs,
+    with `ops` to match.
+    """
+    return ops.pick(
+        b == 0.0, (False, True), lambda zero: math.inf if zero else _p2_star_terms(a, b, pb1, ops)
+    )
 
 
 def _p2_star_terms(a, b, pb1, ops=_FLOATS):
@@ -164,29 +182,52 @@ def _p2_star_exists(p2_star):
 def _allocation_cases(a, b, pb1, pb2, ops=_FLOATS):
     """The closed-form cases of both regimes: their tests, p1s and p2s.
 
-    Regime I's three cases (a >= 1) come first, then regime II's six;
-    each test includes its regime's, and the first test that holds
-    applies.  A p2 of None marks the jamming case, which transmits
-    min(pb2, p2_star) and has a*b < 1.  Gains and budgets may be floats
-    or arrays (with `ops` to match), so the tests combine with `&`.
+    Each test includes its regime's (a >= 1 is regime I, a < 1 regime
+    II), and the first test that holds applies, so only the order within
+    a regime matters: regime I has three cases and regime II six, in
+    order.  The jamming case of each regime, second and fifth, is one
+    test, which transmits min(pb2, p2_star) (its p2 is None) and has
+    a*b < 1.  Gains and budgets may be floats or arrays (with `ops` to
+    match), so the tests combine with `&`.
     """
     ab = a * b
     i, ii = a >= 1.0, a < 1.0
     return (
         (
             i & (b > 1.0) & (pb2 > a - 1.0),
-            i & (ab < 1.0) & (pb2 * (1.0 - ab) > a - 1.0),
-            i,
             ii & (b >= 1.0) & (pb1 < b - 1.0),
             ii & (ab >= 1.0) & (pb1 >= b - 1.0) & (pb2 * (ab - 1.0) < 1.0 - a),
             ii & (ab >= 1.0) & (pb1 >= b - 1.0),
             ii & (b >= 1.0) & (b - 1.0 <= pb1) & (pb1 * (1.0 - ab) < b - 1.0),
-            ii & (b < 1.0) & (a * (1.0 - b) * pb1 >= b - a),
+            i & (ab < 1.0) & (pb2 * (1.0 - ab) > a - 1.0)
+            | ii & (b < 1.0) & (a * (1.0 - b) * pb1 >= b - a),
+            i,
             ii,
         ),
-        (ops.min(pb1, b - 1.0), pb1, 0.0, pb1, pb1, b - 1.0, pb1, pb1, pb1),
-        (pb2, None, 0.0, pb2, pb2, pb2, pb2, None, 0.0),
+        (ops.min(pb1, b - 1.0), pb1, pb1, b - 1.0, pb1, pb1, 0.0, pb1),
+        (pb2, pb2, pb2, pb2, pb2, None, 0.0, 0.0),
     )
+
+
+def _allocation_kernel(a, b, pb1, pb2, ops=_FLOATS):
+    """The powers of `optimal_allocation` at budgets pb1, pb2, and where it raises.
+
+    Returns (p1, p2, p2_star, exists, within): the first case's powers,
+    the p2_star that caps p2 (+inf in the cases that do not jam), where
+    that p2_star exists, and where (p1, p2) is within the budget.
+    On floats p2_star is evaluated only in a jamming case.  Float or
+    array inputs, with `ops` to match.
+    """
+    tests, p1s, p2s = _allocation_cases(a, b, pb1, pb2, ops)
+
+    def case(k):
+        if p2s[k] is not None:
+            return p1s[k], p2s[k], math.inf
+        p2_star = _p2_star(a, b, pb1, ops)
+        return p1s[k], ops.min(pb2, p2_star), p2_star
+
+    p1, p2, p2_star = ops.pick(_first(tests), range(len(tests)), case)
+    return p1, p2, p2_star, _p2_star_exists(p2_star), _in_budget(p1, p2, pb1, pb2)
 
 
 def optimal_allocation(gains: ChannelGains, budget: PowerBudget) -> AllocationResult:
@@ -195,18 +236,12 @@ def optimal_allocation(gains: ChannelGains, budget: PowerBudget) -> AllocationRe
     Every case is answered in closed form, up to the degraded line
     a*b = 1 (see `_p2_star_terms`), so the source is always CLOSED_FORM.
     """
-    a, b = gains.a, gains.b
-    pb1, pb2 = budget.p1_max, budget.p2_max
-    tests, p1s, p2s = _allocation_cases(a, b, pb1, pb2)
-    k = _first(tests)
-    p1, p2 = p1s[k], p2s[k]
-    if p2 is None:
-        p2_star = critical_powers(gains, budget).p2_star
-        if not _p2_star_exists(p2_star):
-            raise InvariantViolation(f"p2_star {p2_star} < 0 at {gains}, {budget}")
-        p2 = min(pb2, p2_star)
+    a, b, pb1, pb2 = gains.a, gains.b, budget.p1_max, budget.p2_max
+    p1, p2, p2_star, exists, within = _allocation_kernel(a, b, pb1, pb2)
+    if not exists:
+        raise InvariantViolation(f"p2_star {p2_star} < 0 at {gains}, {budget}")
     alloc = PowerAllocation(p1, p2)
-    if not alloc.within(budget):
+    if not within:
         raise InvariantViolation(f"allocation {alloc} exceeds budget {budget}")
     rate, branch = achievable_rate(gains, alloc)
     return AllocationResult(alloc, rate, AllocationSource.CLOSED_FORM, branch)
@@ -432,7 +467,7 @@ def asymptotic_rate(gains: ChannelGains) -> RateValue:
     returned value is then the unbounded marker (+inf).
     """
     a, b = gains.a, gains.b
-    if a == 0.0 or b == 0.0:
+    if 0.0 in (a, b):
         return RateValue(math.inf)
     if a >= 1.0:
         if b > 1.0:

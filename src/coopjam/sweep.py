@@ -11,18 +11,21 @@ achievable <= upper_bound + 1e-9.
 the rows fit the process's scalar budget (`model._scalar_pays`): a
 one-shot command's sweep then costs less than importing NumPy.
 Otherwise it evaluates the curve as NumPy columns over the abscissa,
-4,096 rows at a time, with the kernels of the private module `_columns`:
-the allocation, the rate and its branch, and the full-budget bound, each
-bit-identical to those functions at that abscissa.  Only the column path
-imports `_columns`, and with it NumPy; this module does not.
+4,096 rows at a time, with the very kernels those three functions call
+on floats: the allocation (`power._allocation_kernel`), the rate and its
+branch (`achievable._rate_kernel`) and the full-budget bound
+(`bound._bound_kernel`), run on columns by the private module `_columns`
+and bit-identical to the functions at each abscissa they vouch for.
+Only the column path imports `_columns`, and with it NumPy; this module
+does not.
 
 A row replays the scalar path instead when the columns cannot vouch for
 it: when its bound takes the cancelled form (rho* >= 1 - 1e-9), when a
 value is non-finite or a square overflows, or when it fails a check
-that raises in the scalar path (an invariant, a RateValue check, soundness).  Those
-rows replay in ascending abscissa, so a sweep raises exactly what the
-row-by-row evaluation raises, and the replayed values are written back
-into the columns.
+that raises in the scalar path (an invariant, a RateValue check,
+soundness).  Those rows replay in ascending abscissa, so a sweep raises
+exactly what the row-by-row evaluation raises, and the replayed values
+are written back into the columns.
 
 `run_sweep` returns the columns themselves, as a `SweepTable`: an
 immutable sequence of rows that builds each `SweepRow` when it is read,
@@ -57,7 +60,7 @@ from .model import (
     _setfield,
     _Value,
 )
-from .power import optimal_allocation
+from .power import _allocation_kernel, optimal_allocation
 
 __all__ = [
     "CSV_HEADER",
@@ -159,8 +162,9 @@ def _gain_pair(spec: SweepSpec, x, fixed):
     return (x, fixed) if spec.param == "a" else (fixed, x)
 
 
-def _scalar_row(spec: SweepSpec, x: float) -> SweepRow:
-    """The row at `x` by the scalar functions, with its soundness check."""
+def _scalar_row(spec: SweepSpec, x: float) -> tuple:
+    """The column values of the row at `x` (see `_row`), by the scalar
+    functions, with its soundness check."""
     gains = ChannelGains(*_gain_pair(spec, x, spec.fixed_gain))
     if spec.power_mode is PowerMode.OPTIMAL_CONTROL:
         result = optimal_allocation(gains, spec.budget)
@@ -173,7 +177,7 @@ def _scalar_row(spec: SweepSpec, x: float) -> SweepRow:
         raise InvariantViolation(
             f"achievable {rate.value} exceeds bound {upper.value} at x={x}"
         )
-    return SweepRow(x, rate, upper, alloc.p1, alloc.p2, branch)
+    return x, rate.value, upper.value, alloc.p1, alloc.p2, branch
 
 
 def _row(x, rate, bound, p1, p2, branch) -> SweepRow:
@@ -263,14 +267,14 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 def _scalar_sweep(spec: SweepSpec, rows: int) -> SweepTable:
     """The `rows` rows of `spec` (1 for a degenerate range) by `_scalar_row`."""
     xs = [spec.start] if rows == 1 else [_abscissa(spec, k) for k in range(rows)]
-    return SweepTable(_columns_of([_scalar_row(spec, x) for x in xs]))
+    return SweepTable(tuple(map(list, zip(*[_scalar_row(spec, x) for x in xs]))))
 
 
 def _column_sweep(spec: SweepSpec, rows: int) -> SweepTable:
     """The `rows` rows of `spec` as NumPy columns, `_BLOCK_ROWS` rows at a time."""
     import numpy as np
 
-    from ._columns import _allocation_columns, _rate_and_bound
+    from ._columns import _apply, _rate_and_bound
 
     xs = np.array([spec.start]) if rows == 1 else _abscissa(spec, np.arange(rows))
     pb1, pb2 = spec.budget.p1_max, spec.budget.p2_max
@@ -282,7 +286,8 @@ def _column_sweep(spec: SweepSpec, rows: int) -> SweepTable:
         # NumPy's and a division by zero in a discarded case cannot raise.
         a, b = _gain_pair(spec, xs[block], np.asarray(spec.fixed_gain))
         if spec.power_mode is PowerMode.OPTIMAL_CONTROL:
-            p1[block], p2[block], replay = _allocation_columns(a, b, pb1, pb2)
+            p1[block], p2[block], _, exists, within = _apply(_allocation_kernel, a, b, pb1, pb2)
+            replay = ~exists | ~within
         else:
             p1[block], p2[block], replay = pb1, pb2, False
         rate[block], code[block], bound[block], bad = _rate_and_bound(
@@ -291,9 +296,8 @@ def _column_sweep(spec: SweepSpec, rows: int) -> SweepTable:
         # In ascending abscissa, so the first row that raises is the one the
         # row-by-row evaluation would raise at.
         for k in (start + i for i in np.flatnonzero(replay | bad).tolist()):
-            row = _scalar_row(spec, xs[k].item())
-            rate[k], bound[k], p1[k], p2[k] = _fields(row)[1:5]
-            code[k] = _LABELS.index(row.branch)
+            _, rate[k], bound[k], p1[k], p2[k], branch = _scalar_row(spec, xs[k].item())
+            code[k] = _LABELS.index(branch)
     return SweepTable((xs, rate, bound, p1, p2, code))
 
 

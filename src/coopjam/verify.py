@@ -15,10 +15,12 @@ double u, and so do these, row by row, so every sample has the bits of
 the one-at-a-time `rng.uniform` calls made in the same order.
 
 The soundness and interferer-off checks evaluate their samples as
-columns, with the sweep's kernels (`_columns`, imported by the checks
-themselves, which set their own floating-point error state), and replay
-the rows those flag through the scalar functions, as `sweep` does; the
-other checks see their samples as Python floats.
+columns, with the kernels that `achievable_rate` and `sato_upper_bound`
+run on floats (`achievable._rate_kernel`, `bound._bound_kernel`), on
+columns through `_columns`, which the checks import themselves, and
+replay the rows those flag through the scalar functions, as `sweep`
+does; a fault patched into one owner of a rule thus shows on both
+passes.  The other checks see their samples as Python floats.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 import time
 from typing import TYPE_CHECKING
 
-from .achievable import Thresholds, achievable_rate, wiretap_capacity
+from .achievable import Thresholds, _rate_kernel, achievable_rate, wiretap_capacity
 from .bound import (
     _f_numerator,
     _star_terms,
@@ -254,10 +256,11 @@ def interferer_off_check(n_points: int, seed: int) -> CheckResult:
     The rate comes from the sweep's rate kernel, and a row it flags is
     replayed through `achievable_rate`; the baseline is `wiretap_capacity`.
     """
-    from ._columns import _rate_columns
+    from ._columns import _apply
 
     rows = _uniform_rows(_rng(seed), n_points, ((0.0, 5.0), (0.0, 8.0), (0.0, 10.0)))
-    rates, _, replay = _rate_columns(*rows.T, 0.0)
+    rates, _, _, finite, misselected = _apply(_rate_kernel, *rows.T, 0.0)
+    replay = ~finite | misselected
     result = CheckResult("interferer-off", n_points)
     for (a, b, p1), rate, again in zip(rows.tolist(), rates.tolist(), replay.tolist()):
         if again:

@@ -8,7 +8,6 @@ import decimal_reference as ref
 from coopjam.bound import (
     NoiseCorrelation,
     _f_at_star_cancelled,
-    _minimizer,
     _rho_root,
     _star_terms,
     rho_min_oracle,
@@ -234,6 +233,23 @@ def test_overflowing_square_is_a_domain_error(capsys):
     assert "(rho + s)^2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p1, p2", [(2.0, 1e155), (1e160, 0.0)])
+def test_cancelled_form_where_s_squared_overflows_is_a_domain_error(capsys, p1, p2):
+    # On the degraded line a = b = 1, rho* = 1 takes the cancelled form,
+    # whose s^2 leaves the float range there: a domain error that names
+    # it, where log2(0) used to escape as a ValueError.
+    from coopjam.cli import main
+
+    with pytest.raises(DomainError, match=r"s\^2 in the bound"):
+        sato_upper_bound(ChannelGains(1.0, 1.0), PowerBudget(p1, p2))
+    argv = ["bound", "--a", "1", "--b", "1", "--pbar1", repr(p1), "--pbar2", repr(p2)]
+    assert main(argv) == 2
+    assert "s^2 in the bound" in capsys.readouterr().err
+    # Below the overflow the degraded line's bound is still 0.
+    below = sato_upper_bound(ChannelGains(1.0, 1.0), PowerBudget(2.0, 1.3e154))
+    assert below.final_bound.value == 0.0
+
+
 def test_overflowing_rho_root_is_a_domain_error(capsys):
     # s and m both overflow, so rho* = 2s / (m + sqrt(delta)) is inf/inf;
     # the error names them instead of a rho the user never gave.
@@ -352,7 +368,7 @@ def test_column_rho_root_equals_the_scalar_one_where_the_discriminant_underflows
     points = [*_UNDERFLOW, (0.9, 1.1, 2.0, 2.0), (0.0, 0.0, 1.0, 1.0)]
     a, b, p1, p2 = (np.array(column) for column in zip(*points))
     rho = _rho_root(*_star_terms(a, b, p1, p2, _COLUMNS), _COLUMNS)
-    assert rho.tolist() == [_minimizer(*point)[0] for point in points]
+    assert rho.tolist() == [_rho_root(*_star_terms(*point)) for point in points]
 
 
 def test_cli_prints_rho_star_where_the_discriminant_underflows(capsys):

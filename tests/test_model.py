@@ -444,4 +444,4 @@ def test_shared_owners_answer_floats_and_arrays_alike():
     for tests in itertools.product((False, True), repeat=3):
         first = tests.index(True) if True in tests else 3
         assert _first(tests) == first
-        assert _first([np.array([t]) for t in tests], _COLUMNS).tolist() == [first]
+        assert _first([np.array([t]) for t in tests]).tolist() == [first]

@@ -320,9 +320,7 @@ class TestAsymptoticRate:
 def test_negative_p2_star_is_an_invariant_violation(monkeypatch, capsys):
     # The a >= 1 jamming case takes p2_star; a negative one is a bug that
     # must surface under python -O too, and map to exit code 1.
-    monkeypatch.setattr(
-        power, "critical_powers", lambda gains, budget: power.CriticalPowers(-0.5, -1.0)
-    )
+    monkeypatch.setattr(power, "_p2_star", lambda a, b, pb1, ops=power._FLOATS: -1.0)
     with pytest.raises(InvariantViolation):
         optimal_allocation(ChannelGains(1.5, 0.5), PowerBudget(2.0, 3.0))
     code = main(["power", "--a", "1.5", "--b", "0.5", "--pbar1", "2", "--pbar2", "3"])

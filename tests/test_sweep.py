@@ -270,8 +270,7 @@ def test_columns_read_only_their_own_numeric_constants():
 
 def test_columns_are_a_leaf_that_restates_no_scalar_rule():
     # `_columns` calls the owners of the scalar rules; a comparison with a
-    # number would restate one, except log2's domain and p2_star at b == 0,
-    # where Python's 1.0 / b raises and NumPy's gives inf.
+    # number would restate one, except log2's domain.
     import ast
     import inspect
 
@@ -298,12 +297,19 @@ def test_columns_are_a_leaf_that_restates_no_scalar_rule():
         for node in ast.walk(top)
         if isinstance(node, ast.Compare) and any(map(number, [node.left, *node.comparators]))
     }
-    assert compared == {("_log2", "v > 0.0"), ("_allocation_columns", "b == 0.0")}
+    assert compared == {("_log2", "v > 0.0")}
 
 
 def test_overflowing_square_in_a_sweep_is_a_domain_error():
     spec = SweepSpec("a", 0.0, 1e200, 400, PowerBudget(1e200, 1e200), 0.5)
     with pytest.raises(DomainError, match=r"\(rho \+ s\)\^2"):
+        _on_both_paths(spec)
+
+
+def test_overflowing_cancelled_bound_in_a_sweep_is_a_domain_error():
+    # Row a = b = 1 takes the bound's cancelled form, whose s^2 overflows.
+    spec = SweepSpec("a", 0.0, 4.0, 4, PowerBudget(1e160, 1e160), symmetric=True)
+    with pytest.raises(DomainError, match=r"s\^2 in the bound"):
         _on_both_paths(spec)
 
 
@@ -414,7 +420,7 @@ def test_sweep_table_is_an_immutable_sequence_of_rows():
     replayed = _replayed(_ACROSS_BLOCKS)
     assert replayed
     for k in replayed:
-        assert table[k] == _scalar_row(_ACROSS_BLOCKS, table[k].x)
+        assert table[k] == sweep._row(*_scalar_row(_ACROSS_BLOCKS, table[k].x))
 
 
 # The vectorized %.12g of `_columns._csv_lines`, which renders the column

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import coopjam._columns as columns
+import coopjam.achievable as achievable
 import coopjam.bound as bound
+import coopjam.power as power
 import coopjam.verify as verify
 from coopjam.achievable import Thresholds, achievable_rate, wiretap_capacity
 from coopjam.bound import sato_upper_bound
@@ -16,7 +18,7 @@ from coopjam.model import ChannelGains, PowerAllocation, PowerBudget
 
 def _record(monkeypatch, names):
     """Calls of the named `coopjam.verify` globals, or of the `_columns`
-    kernels that checks import themselves, as (name, args), in order.
+    functions that checks import themselves, as (name, args), in order.
 
     An array argument is recorded as its bytes, so samples compare bit
     for bit."""
@@ -100,7 +102,7 @@ def _interferer_off_samples(rng, n):
 def _interferer_off(rng, n):
     # The rate kernel on every sample with p2 = 0, then the scalar baseline.
     rows = list(_interferer_off_samples(rng, n))
-    yield "_rate_columns", (*_column_bits(rows), 0.0)
+    yield "_rate_kernel", (*_column_bits(rows), 0.0, columns._COLUMNS)
     for a, b, p1 in rows:
         yield "wiretap_capacity", (a, p1)
 
@@ -249,6 +251,60 @@ def test_rho_star_check_reports_a_moved_rho_star(monkeypatch):
     monkeypatch.setattr(verify, "rho_star", moved)
     violations = verify.rho_star_check(50, 2).violations
     assert any(v.startswith("|df/drho|") for v in violations)
+
+
+# Each fault below is patched into the one owner of a rule, which the
+# scalar functions and the column kernels both call.
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_power_oracle_check_reports_a_moved_p2_star(monkeypatch, seed):
+    # p2_star 0.1% too large.  At run_all's 100 configs the lattice beats it
+    # beyond 1e-9 at some seeds only (not at seed 0, nor there at 3%):
+    # few configs jam below their budget.  400 configs catch it at each.
+    p2_star = power._p2_star
+    monkeypatch.setattr(power, "_p2_star", lambda *args: p2_star(*args) * (1.0 + 1e-3))
+    violations = verify.power_oracle_check(400, seed).violations
+    assert violations and all(v.startswith("grid beats closed form") for v in violations)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_soundness_check_reports_a_lowered_bound_on_the_column_pass(monkeypatch, seed):
+    # The samples are random allocations, whose rates sit far below the
+    # bound: a bound 0.1% low goes unseen even in 20,000 samples, and 1%
+    # low at seed 0 in 2,000.  5% low is seen at each seed.  The column
+    # pass must flag every row the scalar path reports.
+    final_bound = bound._final_bound
+    monkeypatch.setattr(bound, "_final_bound", lambda *args: final_bound(*args) * 0.95)
+    want = _scalar_soundness(2000, seed)
+    assert want
+    assert verify.soundness_check(2000, seed).violations == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_continuity_check_reports_a_swapped_rate_term(monkeypatch, seed):
+    # Regime I's joint term evaluates the treat-as-noise term instead,
+    # which jumps at b = 1 + P1 and at a = 1.  Regime I's two terms may go
+    # negative on their own intervals, so no misselection check fires.
+    term_snrs = achievable._term_snrs
+
+    def swapped(k, a, b, p1, p2):
+        return term_snrs(3 if k == 1 and a >= 1.0 else k, a, b, p1, p2)
+
+    monkeypatch.setattr(achievable, "_term_snrs", swapped)
+    violations = verify.continuity_check(200, seed).violations
+    assert violations and all(v.startswith("jump") for v in violations)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_interferer_off_check_reports_a_rate_offset_on_the_column_pass(monkeypatch, seed):
+    # Every rate 1e-9 high, against the check's 1e-12.  The column rates
+    # carry it: the check must report what the scalar path reports.
+    clip = achievable._clip
+    monkeypatch.setattr(achievable, "_clip", lambda *args: clip(*args) + 1e-9)
+    want = _scalar_interferer_off(500, seed)
+    assert len(want) == 500
+    assert verify.interferer_off_check(500, seed).violations == want
 
 
 def test_f_slope_is_the_derivative_of_f():
